@@ -17,6 +17,7 @@ All values are immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _as_fraction(x) -> Fraction:
@@ -27,53 +28,107 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-class GaussianRational:
-    """An element re + im*i of Q(i).  Fractions stay reduced; values are immutable."""
+def _power(one, base, n: int):
+    """base**n for n >= 0 by square-and-multiply: O(log n) products."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
-    __slots__ = ("re", "im")
+
+def _gr(r: int, s: int, d: int) -> "GaussianRational":
+    """The value (r + s*i)/d from integers that are already normalized."""
+    x = object.__new__(GaussianRational)
+    x.r, x.s, x.d = r, s, d
+    return x
+
+
+def _reduced(r: int, s: int, d: int) -> "GaussianRational":
+    """The value (r + s*i)/d for d > 0, divided through by gcd(r, s, d)."""
+    if d != 1:
+        g = gcd(r, s, d)
+        if g != 1:
+            return _gr(r // g, s // g, d // g)
+    return _gr(r, s, d)
+
+
+class GaussianRational:
+    """An element re + im*i of Q(i), stored as integers (r + s*i)/d with
+    d > 0 and gcd(r, s, d) = 1, so equal values have equal fields.
+
+    Values are immutable: ``r``, ``s`` and ``d`` must not be assigned after
+    construction.  ``re`` and ``im`` give the parts as reduced fractions.
+    """
+
+    __slots__ = ("r", "s", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        re = _as_fraction(re)
+        im = _as_fraction(im)
+        # with both fractions reduced, scaling to the lcm of the denominators
+        # leaves gcd(r, s, d) = 1
+        d = lcm(re.denominator, im.denominator)
+        self.r = re.numerator * (d // re.denominator)
+        self.s = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.r, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.s, self.d)
 
     @staticmethod
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        return GaussianRational(_as_fraction(x))
+        return GaussianRational(x)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.r, -self.s, self.d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        r, s = self.r, self.s
+        n = r * r + s * s
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        d = self.d
+        return _reduced(d * r, -d * s, n)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.r or self.s)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self.r == other.r and self.s == other.s and self.d == other.d
+        if isinstance(other, int):
+            return self.s == 0 and self.d == 1 and self.r == other
+        if isinstance(other, Fraction):
+            return self.s == 0 and self.r == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if self.s == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.r + other.r, self.s + other.s, d1)
+        return _reduced(self.r * d2 + other.r * d1, self.s * d2 + other.s * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.r, -self.s, self.d)
 
     def __sub__(self, other):
         return self + (-GaussianRational.coerce(other))
@@ -83,10 +138,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        r1, s1, r2, s2 = self.r, self.s, other.r, other.s
+        return _reduced(r1 * r2 - s1 * s2, r1 * s2 + s1 * r2, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -99,11 +152,7 @@ class GaussianRational:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        base = self if n >= 0 else self.inverse()
-        out = GaussianRational(1)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return _power(_ONE_GR, self if n >= 0 else self.inverse(), abs(n))
 
     def __str__(self):
         if self.im == 0:
@@ -127,6 +176,9 @@ class GaussianRational:
     __repr__ = __str__
 
 
+_ZERO_GR = GaussianRational(0)
+_ONE_GR = GaussianRational(1)
+
 #: the imaginary unit of the coefficient field
 I = GaussianRational(0, 1)
 
@@ -135,9 +187,9 @@ def _term_text(c: GaussianRational, k: int):
     """Render c*q^k as (negative, body) with the sign factored out when c is
     purely real or purely imaginary."""
     neg = False
-    if c.im == 0 and c.re < 0:
+    if c.s == 0 and c.r < 0:
         neg, c = True, -c
-    elif c.re == 0 and c.im < 0:
+    elif c.r == 0 and c.s < 0:
         neg, c = True, -c
     if k == 0:
         qtxt = ""
@@ -147,7 +199,7 @@ def _term_text(c: GaussianRational, k: int):
         qtxt = f"q^{k}"
     if not qtxt:
         return neg, str(c)
-    if c == GaussianRational(1):
+    if c == 1:
         return neg, qtxt
     return neg, f"{c}*{qtxt}"
 
@@ -205,6 +257,12 @@ class ScalarQ:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes like its coefficient (and zero like 0), as it
+        # compares equal to it
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and 0 in self.terms:
+            return hash(self.terms[0])
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
@@ -236,6 +294,13 @@ class ScalarQ:
 
     def __mul__(self, other):
         other = ScalarQ.coerce(other)
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            # the product of two nonzero terms is one nonzero term
+            ((ka, ca),) = self.terms.items()
+            ((kb, cb),) = other.terms.items()
+            res = ScalarQ.__new__(ScalarQ)
+            res.terms = {ka + kb: ca * cb}
+            return res
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
@@ -275,11 +340,12 @@ class ScalarQ:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        base = self if n >= 0 else self.inverse()
-        out = ONE
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        if len(self.terms) == 1:
+            ((k, c),) = self.terms.items()
+            res = ScalarQ.__new__(ScalarQ)
+            res.terms = {k * n: c**n}
+            return res
+        return _power(ONE, self if n >= 0 else self.inverse(), abs(n))
 
     def conjugate(self) -> "ScalarQ":
         """Coefficient-wise Gaussian conjugation; q is fixed."""
@@ -292,7 +358,7 @@ class ScalarQ:
         q0 = GaussianRational.coerce(q0)
         if not q0:
             raise ValueError("q must be evaluated at a nonzero value")
-        total = GaussianRational(0)
+        total = _ZERO_GR
         for k, c in self.terms.items():
             total = total + c * q0**k
         return total
@@ -320,7 +386,7 @@ class ScalarQ:
             quo[t_exp] = t
             for k, c in other.terms.items():
                 kk = t_exp + k
-                s = num.get(kk, GaussianRational(0)) - t * c
+                s = num.get(kk, _ZERO_GR) - t * c
                 if s:
                     num[kk] = s
                 elif kk in num:

@@ -251,13 +251,26 @@ class Element:
         inv_mono = tuple(-e for e in mono)
         w, _ = self.algebra.monomial_mul(mono, inv_mono)
         res = Element(self.algebra, {inv_mono: c.inverse().q_shift(-w)})
-        assert self * res == self.algebra.one()
+        if self * res != self.algebra.one():
+            raise ArithmeticError(f"inverse self-check failed for {self}")
         return res
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         base = self if n >= 0 else self.inverse()
+        if not base.terms:
+            return base if n else self.algebra.one()
+        if len(base.terms) == 1:
+            # (c x^alpha)^k = c^k q^(w k(k-1)/2) x^(k alpha), where
+            # x^alpha x^alpha = q^w x^(2 alpha)
+            k = abs(n)
+            ((mono, c),) = base.terms.items()
+            w, _ = self.algebra.monomial_mul(mono, mono)
+            res = Element.__new__(Element)
+            res.algebra = self.algebra
+            res.terms = {tuple(k * e for e in mono): (c**k).q_shift(w * k * (k - 1) // 2)}
+            return res
         out = self.algebra.one()
         for _ in range(abs(n)):
             out = out * base

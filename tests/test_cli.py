@@ -1,7 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import qtriangular
 
 from helpers import random_sextuple, random_unit
 
@@ -187,3 +194,31 @@ def test_cli_reports_parse_errors(capsys):
     assert main(["normalize", "a[9,9]"]) == 2
     err = capsys.readouterr().err
     assert "out of range" in err
+
+
+def test_huge_exponents_parse_fast():
+    # powers cost O(log exponent) multiplications, not O(exponent)
+    cases = [
+        ("q^1000000", T2, T2.scalar(qpow(1000000))),
+        ("a[1,1]^-50000*a[1,1]^50000", U2, U2.one()),
+        ("(q*a[1,2])^30000", T2, T2.monomial((0, 30000, 0), qpow(30000))),
+        ("0^1000000 + 0^0", T2, T2.one()),
+    ]
+    for text, alg, want in cases:
+        t0 = time.perf_counter()
+        got = parse(text, alg)
+        dt = time.perf_counter() - t0
+        assert got == want, text
+        assert dt < 1.0, f"{text} took {dt:.2f}s"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(qtriangular.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qtriangular", "normalize", "a[2,2]*a[1,2]"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "q*a[1,2]*a[2,2]"
+    assert proc.stderr == ""

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,3 +106,159 @@ def test_eval_is_ring_homomorphism(a, b):
 def test_divexact_inverts_multiplication(a, b):
     if b:
         assert (a * b).divexact(b) == a
+
+
+# -- the integer representation against a reference pair of Fractions --------
+
+# denominators may be negative, as in GaussianRational(Fraction(1, -3), 2)
+signed_fracs = st.builds(
+    Fraction,
+    st.integers(-30, 30),
+    st.integers(-12, 12).filter(bool),
+)
+parts = st.one_of(st.integers(-9, 9), signed_fracs)
+# zero, purely real, purely imaginary and mixed values
+gaussian_parts = st.one_of(
+    st.just((0, 0)),
+    st.tuples(parts, st.just(0)),
+    st.tuples(st.just(0), parts),
+    st.tuples(parts, parts),
+)
+
+
+def _ref(x: GaussianRational):
+    return (x.re, x.im)
+
+
+def _check_normal(x: GaussianRational):
+    assert isinstance(x.r, int) and isinstance(x.s, int) and isinstance(x.d, int)
+    assert x.d > 0
+    assert gcd(x.r, x.s, x.d) == 1
+    assert x.re == Fraction(x.r, x.d) and x.im == Fraction(x.s, x.d)
+
+
+def _ref_str(re: Fraction, im: Fraction) -> str:
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return {1: "i", -1: "-i"}.get(im, f"{im}*i")
+    imtxt = {1: "+i", -1: "-i"}.get(im, f"+{im}*i" if im > 0 else f"-{-im}*i")
+    return f"({re}{imtxt})"
+
+
+@given(gaussian_parts, gaussian_parts)
+def test_gaussian_matches_fraction_reference(p, q):
+    (a, b), (c, d) = (tuple(Fraction(v) for v in p), tuple(Fraction(v) for v in q))
+    x, y = GaussianRational(*p), GaussianRational(*q)
+    _check_normal(x)
+    _check_normal(y)
+    assert _ref(x) == (a, b)
+    results = {
+        "add": (x + y, (a + c, b + d)),
+        "sub": (x - y, (a - c, b - d)),
+        "mul": (x * y, (a * c - b * d, a * d + b * c)),
+        "neg": (-x, (-a, -b)),
+        "conj": (x.conjugate(), (a, -b)),
+    }
+    norm = c * c + d * d
+    if norm:
+        results["div"] = (x / y, ((a * c + b * d) / norm, (b * c - a * d) / norm))
+        results["inv"] = (y.inverse(), (c / norm, -d / norm))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    for name, (got, want) in results.items():
+        _check_normal(got)
+        assert _ref(got) == want, name
+        assert got == GaussianRational(*want), name
+        assert str(got) == _ref_str(*want), name
+        assert hash(got) == (hash(want[0]) if want[1] == 0 else hash(want)), name
+    assert (x == y) == ((a, b) == (c, d))
+    assert bool(x) == bool(a or b)
+    if b == 0:
+        assert x == a and hash(x) == hash(a)
+        if a.denominator == 1:
+            assert x == int(a) and hash(x) == hash(int(a))
+    else:
+        assert x != a
+
+
+@given(st.dictionaries(st.integers(-4, 4), gaussian_parts, max_size=4))
+def test_scalar_json_matches_fraction_reference(raw):
+    s = ScalarQ({k: GaussianRational(*v) for k, v in raw.items()})
+    want = []
+    for k, (re, im) in sorted(raw.items()):
+        re, im = Fraction(re), Fraction(im)
+        if re or im:
+            want.append([k, re.numerator, re.denominator, im.numerator, im.denominator])
+    assert s.to_json() == want
+    back = ScalarQ.from_json(want)
+    assert back == s and hash(back) == hash(s)
+    for c in back.terms.values():
+        _check_normal(c)
+
+
+def test_negative_denominator_inputs():
+    x = GaussianRational(Fraction(1, -3), 2)
+    assert (x.r, x.s, x.d) == (-1, 6, 3)
+    assert str(x) == "(-1/3+2*i)"
+    assert GaussianRational(Fraction(-2, 6), Fraction(-4, -2)) == x
+    assert x * x.inverse() == 1
+
+
+# -- the hash contract ---------------------------------------------------------
+
+numbers = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.builds(GaussianRational, st.integers(-3, 3), st.integers(-1, 1)),
+)
+plain_or_constant = st.one_of(numbers, numbers.map(ScalarQ.constant))
+
+
+@given(plain_or_constant, plain_or_constant)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_constant_scalars_hash_like_numbers():
+    assert ScalarQ.constant(1) in {1}
+    assert ZERO in {0}
+    assert ScalarQ.constant(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert ScalarQ.constant(I) in {I}
+    assert len({ScalarQ.constant(2), 2, Fraction(2), GaussianRational(2)}) == 1
+
+
+# -- powers ----------------------------------------------------------------------
+
+
+@given(gaussians, st.integers(-6, 9))
+def test_gaussian_pow_matches_repeated_product(x, n):
+    if n < 0 and not x:
+        with pytest.raises(ZeroDivisionError):
+            x**n
+        return
+    want = GaussianRational(1)
+    for _ in range(abs(n)):
+        want = want * x
+    if n < 0:
+        want = want.inverse()
+    assert x**n == want
+
+
+@given(scalars, st.integers(0, 6))
+def test_scalar_pow_matches_repeated_product(s, n):
+    want = ONE
+    for _ in range(n):
+        want = want * s
+    assert s**n == want
+    if s.is_unit:
+        assert s**-n == want.inverse()
+
+
+def test_large_exponents():
+    assert Q**1000000 == qpow(1000000)
+    assert (Q + ONE) ** 64 == ((Q + ONE) ** 32) * ((Q + ONE) ** 32)
+    assert GaussianRational(1, 1) ** 4000 == GaussianRational(-4) ** 1000
+    assert qpow(3, GaussianRational(0, 2)) ** -5001 == qpow(-15003, GaussianRational(0, 2) ** -5001)

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qtriangular
 from qtriangular.coeff import GaussianRational, ONE, qpow
 from qtriangular.qalgebra import (
     Element,
@@ -235,3 +240,39 @@ def test_transport():
     assert e.transport(U2) == U2.a(1, 1) * U2.a(1, 2)
     with pytest.raises(ValueError):
         (U2.a(1, 1) ** -1).transport(T2)
+
+
+def test_single_term_powers_match_repeated_products():
+    rng = random.Random(12)
+    for alg in (build(2), build(3, True), quantum_affine(3)):
+        for _ in range(20):
+            e = random_element(alg, rng, max_terms=1)
+            for n in range(-4, 7):
+                if n < 0 and not e.is_unit:
+                    with pytest.raises(ValueError):
+                        e**n
+                    continue
+                want = alg.one()
+                for _ in range(abs(n)):
+                    want = want * (e if n >= 0 else e.inverse())
+                assert e**n == want
+
+
+def test_inverse_self_check_survives_optimize():
+    # a ScalarQ.inverse off by a factor of 2 must be caught by Element.inverse
+    # even under -O, which strips assert statements
+    code = (
+        "from qtriangular.coeff import ScalarQ\n"
+        "from qtriangular.triangular import build\n"
+        "good = ScalarQ.inverse\n"
+        "ScalarQ.inverse = lambda s: good(s) * 2\n"
+        "try:\n"
+        "    build(2, True).a(1, 1).inverse()\n"
+        "except ArithmeticError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(qtriangular.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
