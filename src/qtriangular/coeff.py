@@ -294,13 +294,6 @@ class ScalarQ:
 
     def __mul__(self, other):
         other = ScalarQ.coerce(other)
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            # the product of two nonzero terms is one nonzero term
-            ((ka, ca),) = self.terms.items()
-            ((kb, cb),) = other.terms.items()
-            res = ScalarQ.__new__(ScalarQ)
-            res.terms = {ka + kb: ca * cb}
-            return res
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
@@ -340,11 +333,6 @@ class ScalarQ:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        if len(self.terms) == 1:
-            ((k, c),) = self.terms.items()
-            res = ScalarQ.__new__(ScalarQ)
-            res.terms = {k * n: c**n}
-            return res
         return _power(ONE, self if n >= 0 else self.inverse(), abs(n))
 
     def conjugate(self) -> "ScalarQ":

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import GaussianRational, ScalarQ, qpow
+from .coeff import GaussianRational, ScalarQ, _power, qpow
 
 
 def _as_scalar_or_none(x):
@@ -258,23 +258,7 @@ class Element:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        base = self if n >= 0 else self.inverse()
-        if not base.terms:
-            return base if n else self.algebra.one()
-        if len(base.terms) == 1:
-            # (c x^alpha)^k = c^k q^(w k(k-1)/2) x^(k alpha), where
-            # x^alpha x^alpha = q^w x^(2 alpha)
-            k = abs(n)
-            ((mono, c),) = base.terms.items()
-            w, _ = self.algebra.monomial_mul(mono, mono)
-            res = Element.__new__(Element)
-            res.algebra = self.algebra
-            res.terms = {tuple(k * e for e in mono): (c**k).q_shift(w * k * (k - 1) // 2)}
-            return res
-        out = self.algebra.one()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return _power(self.algebra.one(), self if n >= 0 else self.inverse(), abs(n))
 
     def transport(self, algebra: QAlgebra) -> "Element":
         """Reinterpret in another algebra with the same generator count
@@ -471,11 +455,7 @@ class TensorElement:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        base = self if n >= 0 else self.inverse()
-        out = tensor_one(self.left, self.right)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return _power(tensor_one(self.left, self.right), self if n >= 0 else self.inverse(), abs(n))
 
     def flip(self) -> "TensorElement":
         """The flip map u (x) v -> v (x) u."""
