@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 
 def _as_fraction(x) -> Fraction:
@@ -29,15 +30,15 @@ def _as_fraction(x) -> Fraction:
 
 
 def _power(one, base, n: int):
-    """base**n for n >= 0 by square-and-multiply: O(log n) products."""
-    out = one
+    """base**n for n >= 0 by square-and-multiply: O(log n) products, none by one."""
+    out = None
     while n:
         if n & 1:
-            out = out * base
+            out = base if out is None else out * base
         n >>= 1
         if n:
             base = base * base
-    return out
+    return one if out is None else out
 
 
 def _gr(r: int, s: int, d: int) -> "GaussianRational":
@@ -119,7 +120,8 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
+        if not isinstance(other, GaussianRational):
+            return self + GaussianRational(other) if isinstance(other, _NUMBER) else NotImplemented
         d1, d2 = self.d, other.d
         if d1 == d2:
             return _reduced(self.r + other.r, self.s + other.s, d1)
@@ -131,23 +133,26 @@ class GaussianRational:
         return _gr(-self.r, -self.s, self.d)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
+        return self + (-other) if isinstance(other, _NUMBER) else NotImplemented
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
+        return (-self) + other if isinstance(other, _NUMBER) else NotImplemented
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
+        if not isinstance(other, GaussianRational):
+            return self * GaussianRational(other) if isinstance(other, _NUMBER) else NotImplemented
         r1, s1, r2, s2 = self.r, self.s, other.r, other.s
         return _reduced(r1 * r2 - s1 * s2, r1 * s2 + s1 * r2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if not isinstance(other, _NUMBER):
+            return NotImplemented
         return self * GaussianRational.coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
+        return other * self.inverse() if isinstance(other, _NUMBER) else NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -176,6 +181,8 @@ class GaussianRational:
     __repr__ = __str__
 
 
+#: the operand types GaussianRational arithmetic accepts
+_NUMBER = (int, Fraction, GaussianRational)
 _ZERO_GR = GaussianRational(0)
 _ONE_GR = GaussianRational(1)
 
@@ -229,9 +236,10 @@ class ScalarQ:
         canon = {}
         if terms:
             for k, c in terms.items():
+                k = index(k)  # rejects 1.5 instead of truncating it to 1
                 c = GaussianRational.coerce(c)
                 if c:
-                    canon[int(k)] = c
+                    canon[k] = c
         self.terms = canon
 
     @staticmethod
@@ -242,7 +250,7 @@ class ScalarQ:
     def coerce(x) -> "ScalarQ":
         if isinstance(x, ScalarQ):
             return x
-        if isinstance(x, (int, Fraction, GaussianRational)):
+        if isinstance(x, _NUMBER):
             return ScalarQ.constant(x)
         raise TypeError(f"cannot interpret {x!r} as a scalar")
 
@@ -252,7 +260,7 @@ class ScalarQ:
     def __eq__(self, other):
         if isinstance(other, ScalarQ):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _NUMBER):
             return self == ScalarQ.coerce(other)
         return NotImplemented
 

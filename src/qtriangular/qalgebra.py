@@ -17,14 +17,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import add
 
-from .coeff import GaussianRational, ScalarQ, _power, qpow
+from .coeff import _NUMBER, GaussianRational, ScalarQ, _power, qpow
 
 
 def _as_scalar_or_none(x):
     if isinstance(x, ScalarQ):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
+    if isinstance(x, _NUMBER):
         return ScalarQ.coerce(x)
     return None
 
@@ -67,18 +69,23 @@ class QAlgebra:
 
         Returns (w, gamma) with x^alpha * x^beta = q^w * x^gamma and
         gamma = alpha + beta; w = sum over a > b of alpha_a * beta_b * M[a][b].
+
+        The Python-level work is O(|supp alpha| * |supp beta|): only support
+        pairs b < a are visited.  Finding the supports and adding the tuples
+        is O(N) in C.  Monomials stay dense N-tuples, because the CLI JSON,
+        the tests and the benchmark's tensor check read them as such.
         """
-        w = 0
         M = self.M
-        for a, ea in enumerate(alpha):
-            if not ea:
-                continue
-            Ma = M[a]
-            for b in range(a):
-                eb = beta[b]
-                if eb:
-                    w += ea * eb * Ma[b]
-        return w, tuple(x + y for x, y in zip(alpha, beta))
+        slots = range(len(alpha))
+        supp_beta = tuple(compress(slots, beta))
+        w = 0
+        for a in compress(slots, alpha):
+            ea, Ma = alpha[a], M[a]
+            for b in supp_beta:
+                if b >= a:
+                    break
+                w += ea * beta[b] * Ma[b]
+        return w, tuple(map(add, alpha, beta))
 
     # -- element constructors -------------------------------------------------
 
@@ -363,6 +370,8 @@ class TensorElement:
         return self.terms == other.terms
 
     def __add__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
@@ -383,7 +392,7 @@ class TensorElement:
         return res
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, TensorElement) else NotImplemented
 
     def scale(self, c) -> "TensorElement":
         c = ScalarQ.coerce(c)
@@ -581,15 +590,8 @@ class MorphismSpec:
     def _image_power(self, g: int, k: int) -> Element:
         cached = self._powers.get((g, k))
         if cached is None:
-            if k == 0:
-                cached = self.target.one()
-            elif k > 0:
-                cached = self._image_power(g, k - 1) * self.images[g]
-            elif k == -1:
-                cached = self.images[g].inverse()
-            else:
-                cached = self._image_power(g, k + 1) * self._image_power(g, -1)
-            self._powers[(g, k)] = cached
+            base = self.images[g] if k >= 0 else self.images[g].inverse()
+            cached = self._powers[(g, k)] = _power(self.target.one(), base, abs(k))
         return cached
 
     def apply(self, e: Element) -> Element:

@@ -212,6 +212,30 @@ def test_huge_exponents_parse_fast():
         assert dt < 1.0, f"{text} took {dt:.2f}s"
 
 
+def test_huge_exponents_through_structure_maps():
+    # the images' powers are built by square-and-multiply, so the exponent
+    # costs O(log k) products and never deepens the stack
+    src = str(Path(qtriangular.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    cases = [
+        ("antipode", "a[1,1]^-5000", "a[1,1]^5000"),
+        ("star", "a[1,2]^1000", "a[1,1]^-1000*a[1,2]^1000*a[2,2]^-1000"),
+        ("star", "a[1,1]^100000", "a[2,2]^-100000"),
+        ("antipode", "a[1,2]^5000", "a[1,1]^-5000*a[1,2]^5000*a[2,2]^-5000"),
+    ]
+    for cmd, text, want in cases:
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtriangular", "--n", "2", "--localized", cmd, text],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        dt = time.perf_counter() - t0
+        assert proc.returncode == 0, (cmd, text, proc.stderr)
+        assert "Traceback" not in proc.stderr, (cmd, text)
+        assert proc.stdout.strip() == want, (cmd, text)
+        assert dt < 1.0, f"{cmd} {text} took {dt:.2f}s"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(qtriangular.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}

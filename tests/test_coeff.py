@@ -38,6 +38,13 @@ def test_eval_examples():
         Q.eval_at(0)
 
 
+def test_scalar_rejects_non_integer_exponents():
+    for k in (1.5, 2.0, Fraction(3, 2), "1"):
+        with pytest.raises(TypeError):
+            ScalarQ({k: 1})
+    assert ScalarQ({True: 1}).terms == {1: GaussianRational(1)}
+
+
 def test_canonical_form():
     assert ScalarQ({2: 0, 1: 1}) == Q
     assert not ScalarQ({0: Fraction(1, 2) - Fraction(1, 2)})
@@ -175,6 +182,17 @@ def test_gaussian_matches_fraction_reference(p, q):
         assert hash(got) == (hash(want[0]) if want[1] == 0 else hash(want)), name
     assert (x == y) == ((a, b) == (c, d))
     assert bool(x) == bool(a or b)
+    # a ScalarQ operand is left to ScalarQ's reflected methods, in either order
+    sy = ScalarQ.constant(y)
+    for got, want in ((x + sy, x + y), (sy + x, x + y), (x - sy, x - y), (sy - x, y - x),
+                      (x * sy, x * y), (sy * x, x * y)):
+        assert isinstance(got, ScalarQ) and got == want and hash(got) == hash(want)
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__"):
+        assert getattr(x, op)(sy) is NotImplemented, op
+        assert getattr(x, op)("x") is NotImplemented, op
+    with pytest.raises(TypeError):
+        x + "x"
     if b == 0:
         assert x == a and hash(x) == hash(a)
         if a.denominator == 1:
@@ -220,6 +238,9 @@ plain_or_constant = st.one_of(numbers, numbers.map(ScalarQ.constant))
 def test_equal_values_hash_equal(a, b):
     if a == b:
         assert hash(a) == hash(b)
+    # mixed arithmetic works in both orders and keeps the contract
+    for left, right in ((a + b, b + a), (a * b, b * a), (a - b, -(b - a))):
+        assert left == right and hash(left) == hash(right)
 
 
 def test_constant_scalars_hash_like_numbers():

@@ -172,14 +172,39 @@ def test_mul_associative_on_random_elements():
             assert a * (b + c) == a * b + a * c
 
 
+def _reference_q_exponent(alg, alpha, beta):
+    # the dense double loop over the strict lower triangle
+    w = 0
+    for a in range(alg.ngens):
+        for b in range(a):
+            w += alpha[a] * beta[b] * alg.M[a][b]
+    return w
+
+
 def test_grading_is_additive():
-    alg = build(3)
     rng = random.Random(5)
-    for _ in range(40):
-        alpha = tuple(rng.randint(0, 3) for _ in range(alg.ngens))
-        beta = tuple(rng.randint(0, 3) for _ in range(alg.ngens))
-        _, gamma = alg.monomial_mul(alpha, beta)
-        assert gamma == tuple(x + y for x, y in zip(alpha, beta))
+    algebras = [quantum_affine(4)] + [build(n, loc) for n in range(2, 9) for loc in (False, True)]
+    for alg in algebras:
+        N = alg.ngens
+
+        def draw(support):
+            mono = [0] * N
+            for g in support:
+                mono[g] = rng.choice([-3, -2, -1, 1, 2, 3]) if alg.invertible[g] else rng.randint(1, 3)
+            return tuple(mono)
+
+        zero = (0,) * N
+        cases = [(zero, zero)]
+        for g in range(N):
+            full = draw(range(N))
+            cases += [(draw([g]), full), (full, draw([g])), (draw([g]), zero)]
+        for _ in range(30):
+            sa, sb = rng.randint(0, N), rng.randint(0, N)
+            cases.append((draw(rng.sample(range(N), sa)), draw(rng.sample(range(N), sb))))
+        for alpha, beta in cases:
+            w, gamma = alg.monomial_mul(alpha, beta)
+            assert gamma == tuple(x + y for x, y in zip(alpha, beta))
+            assert w == _reference_q_exponent(alg, alpha, beta), (alg, alpha, beta)
 
 
 def test_sigma_inverse_roundtrip():

@@ -69,6 +69,9 @@ def test_coproduct_examples():
         + TensorElement.of(T3.a(1, 3), T3.a(3, 3))
     )
     assert coproduct(T3.a(1, 3)) == expected
+    for foreign in (lambda: expected + 1, lambda: expected - 1, lambda: 1 + expected):
+        with pytest.raises(TypeError):
+            foreign()
     assert coproduct(T3.one()) == TensorElement.of(T3.one(), T3.one())
     U2 = build(2, True)
     t = tgen(U2)
