@@ -29,6 +29,7 @@ from .triangular import (
     rho_spec,
     sigma_spec,
     star,
+    star_spec,
     tgen,
     theta_spec,
 )

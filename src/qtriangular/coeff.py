@@ -274,7 +274,8 @@ class ScalarQ:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        other = ScalarQ.coerce(other)
+        if not isinstance(other, ScalarQ):
+            return self + ScalarQ.constant(other) if isinstance(other, _NUMBER) else NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k)
@@ -295,13 +296,16 @@ class ScalarQ:
         return res
 
     def __sub__(self, other):
-        return self + (-ScalarQ.coerce(other))
+        if isinstance(other, ScalarQ) or isinstance(other, _NUMBER):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return ScalarQ.coerce(other) + (-self)
+        return (-self) + other if isinstance(other, _NUMBER) else NotImplemented
 
     def __mul__(self, other):
-        other = ScalarQ.coerce(other)
+        if not isinstance(other, ScalarQ):
+            return self * ScalarQ.constant(other) if isinstance(other, _NUMBER) else NotImplemented
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():

@@ -590,8 +590,13 @@ class MorphismSpec:
     def _image_power(self, g: int, k: int) -> Element:
         cached = self._powers.get((g, k))
         if cached is None:
-            base = self.images[g] if k >= 0 else self.images[g].inverse()
-            cached = self._powers[(g, k)] = _power(self.target.one(), base, abs(k))
+            if k == -1:
+                # the one inversion per generator; every k < -1 reuses it
+                cached = self.images[g].inverse()
+            else:
+                base = self.images[g] if k >= 0 else self._image_power(g, -1)
+                cached = _power(self.target.one(), base, abs(k))
+            self._powers[(g, k)] = cached
         return cached
 
     def apply(self, e: Element) -> Element:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .coeff import I, ScalarQ, qpow
-from .qalgebra import Element, TensorElement, is_point, random_element
+from .qalgebra import Element, MorphismSpec, TensorElement, is_point, random_element
 from .triangular import (
     TriangularAlgebra,
     antipode,
@@ -29,6 +29,7 @@ from .triangular import (
     rho_spec,
     sigma_spec,
     star,
+    star_spec,
     tgen,
     theta_spec,
     _delta_images,
@@ -373,20 +374,31 @@ def check_morphism_symmetries(n: int, seed: int = 0) -> CheckReport:
     return _run("morphism-symmetries", n, checks())
 
 
-def check_star(n: int, seed: int = 0, samples: int = 6) -> CheckReport:
+def check_star(n: int, seed: int = 0, samples: int = 6, *, _mutate_a11_scale: bool = False) -> CheckReport:
     """The Hopf *-structure: antilinear involution, coalgebra morphism over
-    the conjugation-fixed subfield, and (* . S)^2 = id."""
+    the conjugation-fixed subfield, and (* . S)^2 = id.
+
+    The mutation hook multiplies the image of a[1,1] by q.  The images still
+    satisfy the relations, so only the suite itself can catch it, and it must
+    break D(*) = (*(x)*)D on a[1,1].
+    """
 
     def checks():
         alg = build(n, True)
+        st = star
+        if _mutate_a11_scale:
+            images = list(star_spec(alg).images)
+            g11 = alg.gen_index(1, 1)
+            images[g11] = images[g11].scale(qpow(1))
+            st = MorphismSpec(alg, images, antimorphism=True, antilinear=True, check=False).apply
         for label, e in _gens_with_inverses(alg):
             yield (
                 f"D(*) = (*(x)*)D on {label}",
-                coproduct(star(e)),
-                coproduct(e).map_factors(star, star),
+                coproduct(st(e)),
+                coproduct(e).map_factors(st, st),
             )
-            yield f"** = id on {label}", star(star(e)), e
-            yield f"e* = conj.e on {label}", counit(star(e)), counit(e).conjugate()
+            yield f"** = id on {label}", st(st(e)), e
+            yield f"e* = conj.e on {label}", counit(st(e)), counit(e).conjugate()
 
         rng = random.Random(seed)
         profile = _random_profile(n)
@@ -394,18 +406,18 @@ def check_star(n: int, seed: int = 0, samples: int = 6) -> CheckReport:
         for k in range(samples):
             e = random_element(alg, rng, **profile)
             f = random_element(alg, rng, **profile)
-            yield f"** = id on random#{k}", star(star(e)), e
-            yield f"antimultiplicative on random#{k}", star(e * f), star(f) * star(e)
-            yield f"antilinear on random#{k}", star(e.scale(ci)), star(e).scale(ci.conjugate())
+            yield f"** = id on random#{k}", st(st(e)), e
+            yield f"antimultiplicative on random#{k}", st(e * f), st(f) * st(e)
+            yield f"antilinear on random#{k}", st(e.scale(ci)), st(e).scale(ci.conjugate())
             yield (
                 f"(*S)^2 = id on random#{k}",
-                star(antipode(star(antipode(e)))),
+                st(antipode(st(antipode(e)))),
                 e,
             )
             yield (
                 f"D(*) = (*(x)*)D on random#{k}",
-                coproduct(star(e)),
-                coproduct(e).map_factors(star, star),
+                coproduct(st(e)),
+                coproduct(e).map_factors(st, st),
             )
 
     return _run("star", n, checks())
@@ -461,6 +473,7 @@ def negative_controls(n: int = 2) -> list:
         check_bialgebra(n, _mutate_a12_grouplike=True),
         check_antipode(n, _flip_b12_sign=True),
         check_point_product(n, _mutate_swap_images=True),
+        check_star(n, _mutate_a11_scale=True),
     ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtriangular.coeff import GaussianRational, I, ONE, Q, ScalarQ, ZERO, qpow
+from qtriangular.triangular import build
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 gaussians = st.builds(GaussianRational, fracs, fracs)
@@ -153,6 +154,9 @@ def _ref_str(re: Fraction, im: Fraction) -> str:
     return f"({re}{imtxt})"
 
 
+_A11 = build(2).a(1, 1)
+
+
 @given(gaussian_parts, gaussian_parts)
 def test_gaussian_matches_fraction_reference(p, q):
     (a, b), (c, d) = (tuple(Fraction(v) for v in p), tuple(Fraction(v) for v in q))
@@ -193,6 +197,16 @@ def test_gaussian_matches_fraction_reference(p, q):
         assert getattr(x, op)("x") is NotImplemented, op
     with pytest.raises(TypeError):
         x + "x"
+    # an Element operand is left to Element's reflected methods, in either order
+    e = _A11 + x
+    ey = _A11.algebra.one().scale(sy)
+    for got, want in ((sy + e, ey + e), (e + sy, e + ey), (sy - e, ey - e), (e - sy, e - ey),
+                      (sy * e, e.scale(sy)), (e * sy, e.scale(sy))):
+        assert got.terms == want.terms
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        assert getattr(sy, op)(e) is NotImplemented, op
+    with pytest.raises(TypeError):
+        sy + "x"
     if b == 0:
         assert x == a and hash(x) == hash(a)
         if a.denominator == 1:
@@ -241,6 +255,12 @@ def test_equal_values_hash_equal(a, b):
     # mixed arithmetic works in both orders and keeps the contract
     for left, right in ((a + b, b + a), (a * b, b * a), (a - b, -(b - a))):
         assert left == right and hash(left) == hash(right)
+    # and with an Element, whose constants compare equal to the scalars
+    one = _A11.algebra.one()
+    for left, right in ((a + _A11, _A11 + a), (a * _A11, _A11 * a), (a - _A11, -(_A11 - a)),
+                        (a + one, one + a)):
+        assert left == right
+    assert (a * one == a) and (a * one == b) == (a == b)
 
 
 def test_constant_scalars_hash_like_numbers():

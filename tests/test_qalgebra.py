@@ -104,6 +104,22 @@ def test_apply_morphism_examples():
     assert rho_spec(T3).apply(T3.a(1, 2)) == T3.a(2, 3)
 
 
+def test_image_powers_invert_each_image_once(monkeypatch):
+    U2 = build(2, True)
+    powers = [U2.a(1, 1) ** k for k in (-1, -2, -3)]
+    spec = MorphismSpec(U2, antipode_spec(U2).images, antimorphism=True)
+    calls = []
+    inverse = Element.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Element, "inverse", counted)
+    assert [spec.apply(p) for p in powers] == [U2.a(1, 1) ** -k for k in (-1, -2, -3)]
+    assert len(calls) == 1
+
+
 def test_morphism_spec_rejects_bad_images():
     T2 = build(2)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from qtriangular.structure import (
     check_antipode,
     check_bialgebra,
     check_point_product,
+    check_star,
     negative_controls,
     negative_controls_report,
 )
@@ -67,9 +68,16 @@ def test_mutated_point_product_fails():
     assert rep.witness is not None
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mutated_star_fails_at_a11(n):
+    rep = check_star(n, _mutate_a11_scale=True)
+    assert not rep.passed
+    assert rep.witness[0] == "D(*) = (*(x)*)D on a[1,1]"
+
+
 def test_negative_controls_all_fail():
     reports = negative_controls(2)
-    assert len(reports) == 3
+    assert len(reports) == 4
     for rep in reports:
         assert not rep.passed
         assert rep.witness

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from qtriangular.coeff import GaussianRational, I, ONE, ScalarQ, qpow
-from qtriangular.qalgebra import TensorElement, is_point, quantum_affine, random_element
+from qtriangular.qalgebra import MorphismSpec, TensorElement, is_point, quantum_affine, random_element
 from qtriangular.triangular import (
     antipode,
     b_element,
@@ -18,6 +18,7 @@ from qtriangular.triangular import (
     rho_spec,
     sigma_spec,
     star,
+    star_spec,
     tgen,
     theta_spec,
 )
@@ -257,6 +258,18 @@ def test_star_examples():
             assert star(star(e)) == e
     with pytest.raises(ValueError):
         star(build(2).a(1, 2))
+    # the one-pass spec against the two-pass composite γ∘S it replaces,
+    # including negative diagonal exponents
+    rng = random.Random(13)
+    for n in (2, 3, 4, 5):
+        U = build(n, True)
+        for _ in range(4):
+            e = random_element(U, rng, max_terms=3, pos_range=(0, 1), max_support=4)
+            assert star(e) == gamma_spec(U).apply(antipode(e))
+    # star_spec skips the point check; it holds for its images
+    for n in (2, 3, 4, 5, 6):
+        U = build(n, True)
+        MorphismSpec(U, star_spec(U).images, antimorphism=True, antilinear=True)
 
 
 def _covector(T, A, i, reflected):
