@@ -12,7 +12,7 @@ from .qalgebra import (
     is_point,
     quantum_affine,
     random_element,
-    tensor_one,
+    tensor_square,
 )
 from .triangular import (
     TriangularAlgebra,
@@ -24,6 +24,7 @@ from .triangular import (
     comm_exponent,
     coproduct,
     counit,
+    delta_spec,
     gamma_spec,
     qdet,
     rho_spec,

@@ -16,10 +16,20 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .coeff import ScalarQ, qpow
+from .coeff import ScalarQ, _power, qpow
 from .qalgebra import Element
 from .structure import CheckReport, _run
 from .triangular import build
+
+
+class _Leibniz(tuple):
+    """A pair (a, D(a)) with the Leibniz product (a, Da)(b, Db) = (ab, Da b + a Db)."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        (a, da), (b, db) = self, other
+        return _Leibniz((a * b, da * b + a * db))
 
 
 class DerivationSpec:
@@ -38,17 +48,14 @@ class DerivationSpec:
         self.images = images
 
     def _power_image(self, g: int, k: int) -> Element:
+        """D(g^k) as the second half of (x, D(x))^|k| under the Leibniz
+        product, with x = g or g^-1: O(log |k|) products."""
         alg = self.algebra
-        gen = alg.gen(g)
-        if k >= 0:
-            base, dbase, m = gen, self.images[g], k
-        else:
-            inv = gen.inverse()
-            base, dbase, m = inv, -(inv * self.images[g] * inv), -k
-        out = alg.zero()
-        for t in range(m):
-            out = out + base**t * dbase * base ** (m - 1 - t)
-        return out
+        x, dx = alg.gen(g), self.images[g]
+        if k < 0:
+            x = x.inverse()
+            dx = -(x * dx * x)
+        return _power(_Leibniz((alg.one(), alg.zero())), _Leibniz((x, dx)), abs(k))[1]
 
     def apply(self, e: Element) -> Element:
         """Leibniz extension to an arbitrary element."""

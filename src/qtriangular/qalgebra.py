@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import compress
 from operator import add
 
-from .coeff import _NUMBER, GaussianRational, ScalarQ, _power, qpow
+from .coeff import _NUMBER, ONE, ZERO, GaussianRational, ScalarQ, _join_signed, _power, _term_text, qpow
 
 
 def _as_scalar_or_none(x):
@@ -31,7 +32,25 @@ def _as_scalar_or_none(x):
     return None
 
 
-class QAlgebra:
+class _Presentation:
+    """Constructors shared by QAlgebra and TensorSquare, written once on
+    each one's ``term`` and ``unit_mono``.  Element asks a presentation
+    for nothing else but ``monomial_mul``, ``canon_mono``, ``mono_is_unit``,
+    ``mono_inverse`` and ``mono_text``."""
+
+    __slots__ = ()
+
+    def zero(self) -> "Element":
+        return self.term(self.unit_mono(), ZERO)
+
+    def one(self) -> "Element":
+        return self.term(self.unit_mono(), ONE)
+
+    def scalar(self, c) -> "Element":
+        return self.term(self.unit_mono(), c)
+
+
+class QAlgebra(_Presentation):
     """Presentation of a q-commutative algebra whose commutation constants
     are integer powers of q."""
 
@@ -64,6 +83,27 @@ class QAlgebra:
             e >= 0 or self.invertible[g] for g, e in enumerate(mono)
         )
 
+    def unit_mono(self):
+        return (0,) * len(self.gen_names)
+
+    def canon_mono(self, mono):
+        mono = tuple(mono)
+        if len(mono) != len(self.gen_names):
+            raise ValueError("monomial length does not match algebra")
+        return mono
+
+    def mono_is_unit(self, mono) -> bool:
+        return all(e == 0 or inv for e, inv in zip(mono, self.invertible))
+
+    def mono_inverse(self, mono):
+        return tuple(-e for e in mono)
+
+    def mono_text(self, mono) -> str:
+        """``g^2*h`` style text of a monomial; empty for the unit."""
+        return "*".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(self.gen_names, mono) if e
+        )
+
     def monomial_mul(self, alpha, beta):
         """Reorder x^alpha * x^beta into normal form.
 
@@ -89,25 +129,19 @@ class QAlgebra:
 
     # -- element constructors -------------------------------------------------
 
-    def zero(self) -> "Element":
-        return Element(self, {})
-
-    def one(self) -> "Element":
-        return Element(self, {(0,) * self.ngens: ScalarQ.constant(1)})
-
-    def scalar(self, c) -> "Element":
-        return Element(self, {(0,) * self.ngens: ScalarQ.coerce(c)})
+    def term(self, mono, c=ONE) -> "Element":
+        return Element(self, {mono: c})
 
     def gen(self, g: int) -> "Element":
         exps = [0] * self.ngens
         exps[g] = 1
-        return Element(self, {tuple(exps): ScalarQ.constant(1)})
+        return self.term(tuple(exps))
 
     def monomial(self, exps, coeff=1) -> "Element":
         mono = tuple(int(e) for e in exps)
         if not self.is_admissible(mono):
             raise ValueError(f"inadmissible monomial {mono} for {self!r}")
-        return Element(self, {mono: ScalarQ.coerce(coeff)})
+        return self.term(mono, coeff)
 
     def to_json(self):
         return {
@@ -130,22 +164,28 @@ def quantum_affine(n: int) -> QAlgebra:
 class Element:
     """A finite linear combination of basis monomials of one algebra.
 
-    ``terms`` maps exponent tuples to nonzero scalars.  Instances are
-    immutable values; arithmetic returns new normal forms.
+    ``terms`` maps monomials, in the form the algebra's ``canon_mono``
+    gives, to nonzero scalars.  Instances are immutable values; arithmetic
+    returns new normal forms of the same type.
     """
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: QAlgebra, terms):
+    def __init__(self, algebra, terms):
+        canon_mono = algebra.canon_mono
         canon = {}
         for mono, c in terms.items():
             c = ScalarQ.coerce(c)
             if c:
-                if len(mono) != algebra.ngens:
-                    raise ValueError("monomial length does not match algebra")
-                canon[tuple(mono)] = c
+                canon[canon_mono(mono)] = c
         self.algebra = algebra
         self.terms = canon
+
+    def _new(self, terms):
+        """A value of this type and algebra; ``terms`` is already normal."""
+        res = object.__new__(type(self))
+        res.algebra, res.terms = self.algebra, terms
+        return res
 
     def _coerce(self, other):
         if isinstance(other, Element):
@@ -155,7 +195,7 @@ class Element:
         s = _as_scalar_or_none(other)
         if s is None:
             return None
-        return Element(self.algebra, {(0,) * self.algebra.ngens: s})
+        return self.algebra.scalar(s)
 
     def __bool__(self):
         return bool(self.terms)
@@ -178,17 +218,12 @@ class Element:
                 out[mono] = s
             else:
                 del out[mono]
-        res = Element.__new__(Element)
-        res.algebra, res.terms = self.algebra, out
-        return res
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = Element.__new__(Element)
-        res.algebra = self.algebra
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return self._new({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -206,9 +241,7 @@ class Element:
             p = s * c
             if p:
                 out[mono] = p
-        res = Element.__new__(Element)
-        res.algebra, res.terms = self.algebra, out
-        return res
+        return self._new(out)
 
     def __mul__(self, other):
         s = _as_scalar_or_none(other)
@@ -230,9 +263,7 @@ class Element:
                     out[mc] = acc
                 elif mc in out:
                     del out[mc]
-        res = Element.__new__(Element)
-        res.algebra, res.terms = self.algebra, out
-        return res
+        return self._new(out)
 
     def __rmul__(self, other):
         s = _as_scalar_or_none(other)
@@ -247,18 +278,17 @@ class Element:
         if len(self.terms) != 1:
             return False
         ((mono, c),) = self.terms.items()
-        if not c.is_unit:
-            return False
-        return all(e == 0 or self.algebra.invertible[g] for g, e in enumerate(mono))
+        return c.is_unit and self.algebra.mono_is_unit(mono)
 
     def inverse(self) -> "Element":
         if not self.is_unit:
             raise ValueError("element is not a unit")
+        alg = self.algebra
         ((mono, c),) = self.terms.items()
-        inv_mono = tuple(-e for e in mono)
-        w, _ = self.algebra.monomial_mul(mono, inv_mono)
-        res = Element(self.algebra, {inv_mono: c.inverse().q_shift(-w)})
-        if self * res != self.algebra.one():
+        inv_mono = alg.mono_inverse(mono)
+        w, _ = alg.monomial_mul(mono, inv_mono)
+        res = alg.term(inv_mono, c.inverse().q_shift(-w))
+        if self * res != alg.one():
             raise ArithmeticError(f"inverse self-check failed for {self}")
         return res
 
@@ -291,30 +321,18 @@ class Element:
         return Element(algebra, terms)
 
     def _term_strings(self):
-        names = self.algebra.gen_names
+        text = self.algebra.mono_text
         for mono in sorted(self.terms, reverse=True):
-            c = self.terms[mono]
-            body = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, mono)
-                if e
-            )
-            yield _scalar_times(c, body)
+            yield _scalar_times(self.terms[mono], text(mono))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        from .coeff import _join_signed
-
-        return _join_signed(self._term_strings())
+        return _join_signed(self._term_strings()) if self.terms else "0"
 
     __repr__ = __str__
 
 
 def _scalar_times(c: ScalarQ, body: str):
     """Render c * body as a (negative, text) pair; body may be empty."""
-    from .coeff import _term_text
-
     if len(c.terms) == 1:
         ((k, g),) = c.terms.items()
         neg, ctxt = _term_text(g, k)
@@ -327,205 +345,113 @@ def _scalar_times(c: ScalarQ, body: str):
     return False, (f"{ctxt}*{body}" if body else ctxt)
 
 
-class TensorElement:
-    """An element of the tensor square A (x) B of two q-commutative algebras,
-    with the componentwise product (u (x) v)(u' (x) v') = uu' (x) vv'.
+class TensorSquare(_Presentation):
+    """Presentation of the tensor product A (x) B of two algebras, with the
+    componentwise product (u (x) v)(u' (x) v') = uu' (x) vv'.
 
-    ``terms`` maps pairs of exponent tuples to nonzero scalars; each factor
-    is kept in its own normal form.
+    The generators of A commute with those of B, so A (x) B is again
+    q-commutative: its matrix is block-diagonal on the concatenated
+    generators, and the q-exponent of a product is the sum of the factors'.
+    So its elements (``TensorElement``) use Element's arithmetic unchanged.
+    Monomials stay pairs (u, v) instead of concatenated tuples, because
+    ``qtriangular delta --json`` prints ``[u, v, c]`` and the benchmark's
+    tensor check reads those pair keys; a nested square such as
+    A (x) (A (x) A) nests the pairs.  Build squares through
+    ``tensor_square``, so that each square has one identity.
     """
 
-    __slots__ = ("left", "right", "terms")
+    __slots__ = ("left", "right")
 
-    def __init__(self, left: QAlgebra, right: QAlgebra, terms):
-        canon = {}
-        for (mu, mv), c in terms.items():
-            c = ScalarQ.coerce(c)
-            if c:
-                canon[(tuple(mu), tuple(mv))] = c
+    def __init__(self, left, right):
         self.left = left
         self.right = right
-        self.terms = canon
+
+    def term(self, mono, c=ONE) -> "TensorElement":
+        return TensorElement(self, {mono: c})
+
+    def unit_mono(self):
+        return self.left.unit_mono(), self.right.unit_mono()
+
+    def canon_mono(self, mono):
+        u, v = mono
+        return self.left.canon_mono(u), self.right.canon_mono(v)
+
+    def mono_is_unit(self, mono) -> bool:
+        u, v = mono
+        return self.left.mono_is_unit(u) and self.right.mono_is_unit(v)
+
+    def mono_inverse(self, mono):
+        u, v = mono
+        return self.left.mono_inverse(u), self.right.mono_inverse(v)
+
+    def monomial_mul(self, alpha, beta):
+        (ua, va), (ub, vb) = alpha, beta
+        wl, u = self.left.monomial_mul(ua, ub)
+        wr, v = self.right.monomial_mul(va, vb)
+        return wl + wr, (u, v)
+
+    def mono_text(self, mono) -> str:
+        u, v = mono
+        return f"{self.left.mono_text(u) or '1'} (x) {self.right.mono_text(v) or '1'}"
+
+
+@lru_cache(maxsize=None)
+def tensor_square(left, right) -> TensorSquare:
+    """The tensor square left (x) right, cached so that each square (nested
+    ones included) is one object and its elements can be combined."""
+    return TensorSquare(left, right)
+
+
+class TensorElement(Element):
+    """An element of a ``TensorSquare``: ``terms`` maps pairs (u, v) of
+    factor monomials to nonzero scalars.  All arithmetic is Element's; only
+    the factorwise maps and the `` (x) `` printing live here."""
+
+    __slots__ = ()
+
+    # Element's product under its own name, so that ``perfbench/layers.py``
+    # can time tensor products apart from products in a single algebra
+    __mul__ = Element.__mul__
 
     @staticmethod
     def of(u: Element, v: Element) -> "TensorElement":
         """The simple tensor u (x) v, expanded bilinearly."""
-        terms = {}
-        for mu, cu in u.terms.items():
-            for mv, cv in v.terms.items():
-                terms[(mu, mv)] = cu * cv
-        return TensorElement(u.algebra, v.algebra, terms)
-
-    def _check(self, other):
-        if self.left is not other.left or self.right is not other.right:
-            raise ValueError("tensor elements over different algebra pairs")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        res = TensorElement.__new__(TensorElement)
-        res.left, res.right, res.terms = self.left, self.right, out
-        return res
-
-    def __neg__(self):
-        res = TensorElement.__new__(TensorElement)
-        res.left, res.right = self.left, self.right
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other) if isinstance(other, TensorElement) else NotImplemented
-
-    def scale(self, c) -> "TensorElement":
-        c = ScalarQ.coerce(c)
-        out = {}
-        for key, s in self.terms.items():
-            p = s * c
-            if p:
-                out[key] = p
-        res = TensorElement.__new__(TensorElement)
-        res.left, res.right, res.terms = self.left, self.right, out
-        return res
-
-    def __mul__(self, other):
-        if not isinstance(other, TensorElement):
-            s = _as_scalar_or_none(other)
-            if s is not None:
-                return self.scale(s)
-            return NotImplemented
-        self._check(other)
-        mmL = self.left.monomial_mul
-        mmR = self.right.monomial_mul
-        out = {}
-        for (ua, va), ca in self.terms.items():
-            for (ub, vb), cb in other.terms.items():
-                wl, uc = mmL(ua, ub)
-                wr, vc = mmR(va, vb)
-                c = (ca * cb).q_shift(wl + wr)
-                key = (uc, vc)
-                acc = out.get(key)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        res = TensorElement.__new__(TensorElement)
-        res.left, res.right, res.terms = self.left, self.right, out
-        return res
-
-    def __rmul__(self, other):
-        s = _as_scalar_or_none(other)
-        if s is not None:
-            return self.scale(s)
-        return NotImplemented
-
-    @property
-    def is_unit(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        (((mu, mv), c),) = self.terms.items()
-        if not c.is_unit:
-            return False
-        okl = all(e == 0 or self.left.invertible[g] for g, e in enumerate(mu))
-        okr = all(e == 0 or self.right.invertible[g] for g, e in enumerate(mv))
-        return okl and okr
-
-    def inverse(self) -> "TensorElement":
-        if not self.is_unit:
-            raise ValueError("tensor element is not a unit")
-        (((mu, mv), c),) = self.terms.items()
-        wl, _ = self.left.monomial_mul(mu, tuple(-e for e in mu))
-        wr, _ = self.right.monomial_mul(mv, tuple(-e for e in mv))
-        inv = TensorElement(
-            self.left,
-            self.right,
-            {(tuple(-e for e in mu), tuple(-e for e in mv)): c.inverse().q_shift(-wl - wr)},
-        )
-        return inv
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        return _power(tensor_one(self.left, self.right), self if n >= 0 else self.inverse(), abs(n))
+        terms = {(mu, mv): cu * cv for mu, cu in u.terms.items() for mv, cv in v.terms.items()}
+        return TensorElement(tensor_square(u.algebra, v.algebra), terms)
 
     def flip(self) -> "TensorElement":
         """The flip map u (x) v -> v (x) u."""
-        return TensorElement(self.right, self.left, {(v, u): c for (u, v), c in self.terms.items()})
+        sq = self.algebra
+        return TensorElement(tensor_square(sq.right, sq.left), {(v, u): c for (u, v), c in self.terms.items()})
 
     def map_factors(self, f, g) -> "TensorElement":
         """Apply Element maps f and g factorwise; the coefficient rides on
         the left factor, so antilinear f conjugates it."""
+        sq = self.algebra
         out = None
         for (mu, mv), c in self.terms.items():
-            lt = f(Element(self.left, {mu: c}))
-            rt = g(Element(self.right, {mv: ScalarQ.constant(1)}))
-            piece = TensorElement.of(lt, rt)
+            piece = TensorElement.of(f(sq.left.term(mu, c)), g(sq.right.term(mv)))
             out = piece if out is None else out + piece
-        if out is None:
-            return TensorElement(self.left, self.right, {})
-        return out
+        return sq.zero() if out is None else out
 
     def contract_left(self, functional) -> Element:
-        """Apply a scalar-valued functional to the left factor; returns the
-        resulting element of the right algebra."""
-        out = self.right.zero()
+        """Apply a scalar-valued linear functional to the left factor;
+        returns the resulting element of the right algebra."""
+        sq = self.algebra
+        out = sq.right.zero()
         for (mu, mv), c in self.terms.items():
-            s = functional(Element(self.left, {mu: c}))
-            out = out + Element(self.right, {mv: s})
+            out = out + sq.right.term(mv, functional(sq.left.term(mu, c)))
         return out
 
     def contract_right(self, functional) -> Element:
-        out = self.left.zero()
-        for (mu, mv), c in self.terms.items():
-            s = functional(Element(self.right, {mv: ScalarQ.constant(1)}))
-            out = out + Element(self.left, {mu: c * s})
-        return out
+        """The same on the right factor; returns an element of the left algebra."""
+        return self.flip().contract_left(functional)
 
     def _term_strings(self):
-        lnames = self.left.gen_names
-        rnames = self.right.gen_names
+        sq = self.algebra
         for mu, mv in sorted(self.terms, reverse=True):
-            c = self.terms[(mu, mv)]
-            lbody = "*".join(
-                nm if e == 1 else f"{nm}^{e}" for nm, e in zip(lnames, mu) if e
-            )
-            rbody = "*".join(
-                nm if e == 1 else f"{nm}^{e}" for nm, e in zip(rnames, mv) if e
-            ) or "1"
-            neg, ltxt = _scalar_times(c, lbody)
-            yield neg, f"{ltxt} (x) {rbody}"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        from .coeff import _join_signed
-
-        return _join_signed(self._term_strings())
-
-    __repr__ = __str__
-
-
-def tensor_one(left: QAlgebra, right: QAlgebra) -> TensorElement:
-    key = ((0,) * left.ngens, (0,) * right.ngens)
-    return TensorElement(left, right, {key: ScalarQ.constant(1)})
+            neg, ltxt = _scalar_times(self.terms[mu, mv], sq.left.mono_text(mu))
+            yield neg, f"{ltxt} (x) {sq.right.mono_text(mv) or '1'}"
 
 
 def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
@@ -534,8 +460,10 @@ def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
 
     With ``opposite=True`` the relations are checked with M negated, which is
     the condition for extending an anti-homomorphism.  Images of invertible
-    generators must additionally be units.  Images may be Element or
-    TensorElement values.
+    generators must additionally be units.  Images may live in any
+    presentation, e.g. a ``TensorSquare`` (whose keys stay pairs; see
+    there).  ``delta_spec`` builds the comultiplication without this check,
+    which the bialgebra suite runs instead, once per size.
     """
     images = list(images)
     if len(images) != algebra.ngens:
@@ -714,10 +642,7 @@ def center_lattice(algebra: QAlgebra) -> CenterLattice:
     generators.
     """
     basis = integer_kernel(algebra.M)
-
-    def admissible(v):
-        return all(e >= 0 or algebra.invertible[g] for g, e in enumerate(v))
-
+    admissible = algebra.is_admissible
     gens = []
     bad = []
     for v in basis:

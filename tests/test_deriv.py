@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -107,6 +108,47 @@ def test_localized_extension_stays_derivation():
         # applying to g * g^-1 = 1 gives zero
         g = U2.a(1, 1)
         assert lifted.apply(g * g**-1) == U2.zero()
+
+
+def _linear_power_image(spec, g, k):
+    """D(g^k) as the sum of |k| Leibniz terms: the linear oracle for the
+    square-and-multiply extension."""
+    alg = spec.algebra
+    base, dbase = alg.gen(g), spec.images[g]
+    if k < 0:
+        base = base.inverse()
+        dbase = -(base * dbase * base)
+    m = abs(k)
+    out = alg.zero()
+    for t in range(m):
+        out = out + base**t * dbase * base ** (m - 1 - t)
+    return out
+
+
+def test_power_images_match_linear_sum():
+    rng = random.Random(24)
+    for alg in (build(2), build(2, True)):
+        specs = list(named_derivations(alg).values()) + [
+            inner_derivation(random_element(alg, rng)),
+            # not a derivation: the extension rule is applied all the same
+            DerivationSpec(alg, [alg.a(1, 2), alg.a(1, 1) + alg.a(2, 2), alg.zero()]),
+        ]
+        for spec in specs:
+            for g in range(alg.ngens):
+                ks = range(-6, 10) if alg.invertible[g] else range(0, 10)
+                for k in ks:
+                    assert spec._power_image(g, k) == _linear_power_image(spec, g, k), (g, k)
+
+
+@pytest.mark.parametrize("k", [100000, -100000])
+def test_huge_power_images_are_logarithmic(k):
+    U2 = build(2, True)
+    x = U2.a(1, 1) ** k
+    for spec in (named_derivations(U2)["D11"], inner_derivation(U2.a(1, 2))):
+        t0 = time.perf_counter()
+        spec.apply(x)
+        assert time.perf_counter() - t0 < 1.0
+    assert named_derivations(U2)["D11"].apply(x) == x.scale(k)
 
 
 def test_h1_membership():

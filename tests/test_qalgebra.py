@@ -17,7 +17,7 @@ from qtriangular.qalgebra import (
     is_point,
     quantum_affine,
     random_element,
-    tensor_one,
+    tensor_square,
 )
 from qtriangular.triangular import antipode_spec, build, counit, sigma_spec
 
@@ -75,7 +75,7 @@ def test_tensor_mul_examples():
     lhs = TensorElement.of(T2.a(1, 1), one) * TensorElement.of(one, T2.a(1, 2))
     assert lhs == TensorElement.of(T2.a(1, 1), T2.a(1, 2))
     s = TensorElement.of(T2.a(1, 2), T2.a(2, 2))
-    assert tensor_one(T2, T2) * s == s
+    assert tensor_square(T2, T2).one() * s == s
     lhs = TensorElement.of(T2.a(1, 2), one) * TensorElement.of(T2.a(1, 1), one)
     assert lhs == TensorElement.of(T2.a(1, 1) * T2.a(1, 2), one).scale(qpow(-1))
 

@@ -1,8 +1,10 @@
 import pytest
 
+from qtriangular.qalgebra import MorphismSpec, TensorElement
 from qtriangular.structure import (
     CheckReport,
     SUITES,
+    _coassociativity,
     _m_bb,
     _m_diag,
     _m_offdiag,
@@ -13,6 +15,7 @@ from qtriangular.structure import (
     negative_controls,
     negative_controls_report,
 )
+from qtriangular.triangular import build, delta_spec
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -53,6 +56,20 @@ def test_mutated_coproduct_fails():
     assert rep.witness is not None
     label, lhs, rhs = rep.witness
     assert lhs != rhs
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_coassociativity_check_can_fail(n):
+    # a[1,2] |-> a[1,1] (x) a[1,2] + a[1,2] (x) a[1,2] is not coassociative
+    alg = build(n)
+    delta = delta_spec(alg)
+    images = list(delta.images)
+    images[alg.gen_index(1, 2)] = TensorElement.of(alg.a(1, 1) + alg.a(1, 2), alg.a(1, 2))
+    bad = MorphismSpec(alg, images, check=False)
+    lhs, rhs = _coassociativity(bad, bad.apply(alg.a(1, 2)))
+    assert lhs != rhs
+    lhs, rhs = _coassociativity(delta, delta.apply(alg.a(1, 2)))
+    assert lhs == rhs
 
 
 def test_mutated_antipode_fails_at_offdiagonal():

@@ -4,7 +4,14 @@ from itertools import combinations
 import pytest
 
 from qtriangular.coeff import GaussianRational, I, ONE, ScalarQ, qpow
-from qtriangular.qalgebra import MorphismSpec, TensorElement, is_point, quantum_affine, random_element
+from qtriangular.qalgebra import (
+    MorphismSpec,
+    TensorElement,
+    is_point,
+    quantum_affine,
+    random_element,
+    tensor_square,
+)
 from qtriangular.triangular import (
     antipode,
     b_element,
@@ -13,6 +20,7 @@ from qtriangular.triangular import (
     comm_exponent,
     coproduct,
     counit,
+    delta_spec,
     gamma_spec,
     qdet,
     rho_spec,
@@ -70,13 +78,40 @@ def test_coproduct_examples():
         + TensorElement.of(T3.a(1, 3), T3.a(3, 3))
     )
     assert coproduct(T3.a(1, 3)) == expected
-    for foreign in (lambda: expected + 1, lambda: expected - 1, lambda: 1 + expected):
+    # a scalar is a multiple of 1 (x) 1, as it is of 1 for an Element
+    unit = TensorElement.of(T3.one(), T3.one())
+    assert expected + 1 == expected + unit
+    assert expected - 1 == expected - unit
+    assert 1 + expected == unit + expected
+    for foreign in (lambda: expected + "x", lambda: expected - "x", lambda: "x" + expected):
         with pytest.raises(TypeError):
             foreign()
+    for other_algebra in (lambda: expected + T3.a(1, 1), lambda: expected == T3.one()):
+        with pytest.raises(ValueError):
+            other_algebra()
     assert coproduct(T3.one()) == TensorElement.of(T3.one(), T3.one())
     U2 = build(2, True)
     t = tgen(U2)
     assert coproduct(t) == TensorElement.of(t, t)
+
+
+def test_delta_spec_images_are_points():
+    # delta_spec skips the point check at run time; it holds for its images
+    for n in (2, 3, 4, 5, 6):
+        for localized in (False, True):
+            alg = build(n, localized)
+            MorphismSpec(alg, delta_spec(alg).images)
+
+
+def test_coproduct_is_multiplicative():
+    rng = random.Random(14)
+    for n in (2, 3, 4):
+        for localized in (False, True):
+            alg = build(n, localized)
+            for _ in range(4):
+                e = random_element(alg, rng, max_terms=2, inv_range=(-2, 1), pos_range=(0, 1), max_support=4)
+                f = random_element(alg, rng, max_terms=2, inv_range=(-2, 1), pos_range=(0, 1), max_support=4)
+                assert coproduct(e * f) == coproduct(e) * coproduct(f)
 
 
 def test_counit_examples():
@@ -273,7 +308,7 @@ def test_star_examples():
 
 
 def _covector(T, A, i, reflected):
-    te = TensorElement(T, A, {})
+    te = tensor_square(T, A).zero()
     n = T.n
     for j in range(i, n + 1):
         gen = T.a(n + 1 - j, n + 1 - i) if reflected else T.a(i, j)
