@@ -6,17 +6,17 @@ Because the defining relations are quadratic, a candidate is a derivation
 iff every pairwise relation is Leibniz-compatible, which is what
 ``is_derivation`` checks exactly.
 
-The classification sweep, the degree-one cohomology membership oracle, and
+The classification sweep, the degree-one cohomology membership proof, and
 the derivation table of the localized algebra live here.  The membership
-oracle decides "not inner up to degree d" by an exact rank computation
-(fraction-free Bareiss elimination over the scalar ring).
+proof shows, from the exponent grading, that the five outer derivations
+stay linearly independent modulo inner derivations in every degree.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .coeff import ScalarQ, _power, qpow
+from .coeff import ZERO, ScalarQ, _power, qpow
 from .qalgebra import Element
 from .structure import CheckReport, _run
 from .triangular import build
@@ -181,12 +181,6 @@ def named_derivations(alg) -> dict:
     return out
 
 
-def _degree_monomials(bound: int):
-    for nu in iter_product(range(bound + 1), repeat=3):
-        if 1 <= sum(nu) <= bound:
-            yield nu
-
-
 def _rank(rows) -> int:
     """Rank over the fraction field, by fraction-free Bareiss elimination
     with exact division in the scalar ring."""
@@ -212,61 +206,59 @@ def _rank(rows) -> int:
     return r
 
 
+def _weight(d: DerivationSpec):
+    """The w such that every image term of generator g has exponent
+    e_g + w, or None if d is zero or not homogeneous."""
+    weights = {
+        tuple(e - (h == g) for h, e in enumerate(mono))
+        for g, img in enumerate(d.images)
+        for mono in img.terms
+    }
+    return weights.pop() if len(weights) == 1 else None
+
+
+def _outer_independent(maps) -> CheckReport:
+    """Proof that the labelled maps of T_q(2) are derivations that stay
+    linearly independent modulo inner derivations in every degree.
+
+    Every relation preserves exponent vectors, so ad_{x^nu} has weight nu,
+    and the weight-w part of any ad_x is ad_{x_w}: zero unless w is in N^3,
+    and zero at w = 0, since ad of a scalar is 0.  So a combination of maps
+    whose weights lie outside N^3 minus {0} is inner only if each weight's
+    part of it is 0, and that forces it to be 0 once each weight group has
+    full column rank, one row per (generator, monomial).  This is the
+    method of Osborn and Passman (J. Algebra 176, 1995)."""
+
+    def checks():
+        groups = {}
+        for label, d in maps:
+            yield f"{label} is a derivation", is_derivation(d), True
+            w = _weight(d)
+            outer = w is not None and (not any(w) or min(w) < 0)
+            # the two sides agree exactly when w is an allowed weight
+            yield f"weight of {label}", w, w if outer else "outside N^3 minus {0}"
+            groups.setdefault(w, []).append(d)
+        for w, group in groups.items():
+            rows = sorted({(g, m) for d in group for g, img in enumerate(d.images) for m in img.terms})
+            rank = _rank([[d.images[g].terms.get(m, ZERO) for d in group] for g, m in rows])
+            yield f"rank of the weight-{w} maps", rank, len(group)
+
+    return _run("h1-membership", 2, checks())
+
+
 def h1_membership_T2(bound: int = 3) -> CheckReport:
     """The five maps spanning the outer part of the degree-one cohomology
     are derivations, and no nontrivial linear combination of them is an
-    inner derivation ad_x with x supported on monomials of total degree up
-    to ``bound`` (exact rank certificate; the unbounded statement is out of
-    reach of finite computation and is not claimed)."""
+    inner derivation, in any degree (see ``_outer_independent``).
+    ``bound`` is ignored and kept only for API compatibility."""
     alg = build(2)
-    five = [
+    return _outer_independent([
         ("D11", monomial_derivation((1, 1), (1, 0, 0), alg)),
         ("D12", monomial_derivation((1, 2), (0, 1, 0), alg)),
         ("D22", monomial_derivation((2, 2), (0, 0, 1), alg)),
         ("D11,(0,0,1)", monomial_derivation((1, 1), (0, 0, 1), alg)),
         ("D22,(1,0,0)", monomial_derivation((2, 2), (1, 0, 0), alg)),
-    ]
-    for label, d in five:
-        if not is_derivation(d):
-            return CheckReport(
-                "h1-membership", 2, False, (f"{label} is a derivation", "False", "True")
-            )
-
-    inners = [inner_derivation(alg.monomial(nu)) for nu in _degree_monomials(bound)]
-    # rows: one per (generator, basis monomial); columns: the five maps,
-    # then the inner derivations
-    row_index = {}
-    rows = []
-    width = len(five) + len(inners)
-
-    def slot(g, mono):
-        key = (g, mono)
-        if key not in row_index:
-            row_index[key] = len(rows)
-            rows.append([ScalarQ({}) for _ in range(width)])
-        return row_index[key]
-
-    for col, (_, d) in enumerate(five):
-        for g in range(3):
-            for mono, c in d.images[g].terms.items():
-                rows[slot(g, mono)][col] += c
-    for col, d in enumerate(inners):
-        for g in range(3):
-            for mono, c in d.images[g].terms.items():
-                rows[slot(g, mono)][len(five) + col] += c
-
-    rank_full = _rank(rows)
-    rank_inner = _rank([r[len(five) :] for r in rows])
-    if rank_full != rank_inner + len(five):
-        return CheckReport(
-            "h1-membership", 2, False,
-            (
-                f"rank gap with inner derivations of degree <= {bound}",
-                f"rank full = {rank_full}",
-                f"rank inner + 5 = {rank_inner + 5}",
-            ),
-        )
-    return CheckReport("h1-membership", 2, True)
+    ])
 
 
 def utq2_derivation_table() -> CheckReport:

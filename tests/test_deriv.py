@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,9 @@ from qtriangular.deriv import (
     monomial_derivation,
     named_derivations,
     utq2_derivation_table,
+    _outer_independent,
     _rank,
+    _weight,
 )
 from qtriangular.coeff import ScalarQ
 from qtriangular.qalgebra import random_element
@@ -152,12 +155,56 @@ def test_huge_power_images_are_logarithmic(k):
 
 
 def test_h1_membership():
-    rep = h1_membership_T2(3)
-    assert rep.passed, rep.line()
+    # a proof for every degree: the bound is ignored and costs nothing
+    for bound in (1, 3, 10):
+        t0 = time.perf_counter()
+        rep = h1_membership_T2(bound)
+        assert time.perf_counter() - t0 < 0.05
+        assert rep.passed, rep.line()
     # quick independence sanity check: ad_{a11}(a11) = 0 while D11(a11) = a11
     T2 = build(2)
     ad = inner_derivation(T2.a(1, 1))
     assert ad.images[T2.gen_index(1, 1)] == T2.zero()
+
+
+def test_h1_proof_controls():
+    T2 = build(2)
+    five = [
+        ("D11", monomial_derivation((1, 1), (1, 0, 0), T2)),
+        ("D12", monomial_derivation((1, 2), (0, 1, 0), T2)),
+        ("D22", monomial_derivation((2, 2), (0, 0, 1), T2)),
+        ("D11,(0,0,1)", monomial_derivation((1, 1), (0, 0, 1), T2)),
+        ("D22,(1,0,0)", monomial_derivation((2, 2), (1, 0, 0), T2)),
+    ]
+    assert _outer_independent(five).passed
+    # an inner derivation in place of D12 has a weight in N^3 minus {0}
+    ad12 = ("ad_a[1,2]", inner_derivation(T2.a(1, 2)))
+    rep = _outer_independent([five[0], ad12] + five[2:])
+    assert not rep.passed
+    assert rep.witness == ("weight of ad_a[1,2]", "(0, 1, 0)", "outside N^3 minus {0}")
+    # a derivation that is not homogeneous has no weight
+    mixed = ("D11+D11,(0,0,1)", five[0][1] + five[3][1])
+    assert is_derivation(mixed[1])
+    rep = _outer_independent(five + [mixed])
+    assert not rep.passed
+    assert rep.witness == ("weight of D11+D11,(0,0,1)", "None", "outside N^3 minus {0}")
+    # a repeated map makes its weight group dependent
+    rep = _outer_independent(five + [five[0]])
+    assert not rep.passed
+    assert rep.witness == ("rank of the weight-(0, 0, 0) maps", "3", "4")
+    # a map that is not a derivation is caught before its weight
+    rep = _outer_independent(five + [("D11,(1,0,1)", monomial_derivation((1, 1), (1, 0, 1), T2))])
+    assert rep.witness == ("D11,(1,0,1) is a derivation", "False", "True")
+
+
+def test_inner_monomial_derivations_have_their_exponent_as_weight():
+    # the proof's premise, on the inner derivations the bounded certificate used
+    T2 = build(2)
+    nus = [nu for nu in product(range(4), repeat=3) if 1 <= sum(nu) <= 3]
+    assert len(nus) == 19
+    for nu in nus:
+        assert _weight(inner_derivation(T2.monomial(nu))) == nu
+    assert _weight(DerivationSpec(T2, [T2.zero()] * 3)) is None
 
 
 def test_rank_helper():

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -44,15 +44,42 @@ def test_comm_exponent_examples():
         comm_exponent((2, 1), (1, 1), 2)
 
 
+def _four_family_exponent(p, r):
+    """The paper's four relation families, matched against the pair: the
+    oracle for ``comm_exponent``'s closed form."""
+    (pi, pj), (ri, rj) = p, r
+    matches = []
+    # same column k: a[j,k] a[i,k] = q a[i,k] a[j,k] for i < j <= k
+    if pj == rj and pi != ri:
+        matches.append(1 if pi > ri else -1)
+    # same row j: a[j,k] a[j,l] = q a[j,l] a[j,k] for j <= k < l
+    if pi == ri and pj != rj:
+        matches.append(1 if pj < rj else -1)
+    if pi != ri and pj != rj:
+        if (pi < ri) == (pj < rj):
+            # commuting pattern: a[i,k] a[j,l] = a[j,l] a[i,k] for i < j <= l, i <= k < l
+            matches.append(0)
+        else:
+            # nested intervals: a[j,k] a[i,l] = q^2 a[i,l] a[j,k] for i < j <= k < l
+            matches.append(2 if pi > ri else -2)
+    if len(matches) != 1:
+        raise RuntimeError(f"relation families matched {len(matches)} times for {p}, {r}")
+    return matches[0]
+
+
 def test_comm_exponent_exhaustive_coverage():
-    # every unordered pair matches exactly one family (no exception raised),
-    # antisymmetrically, for all n up to 6
-    for n in range(2, 7):
+    # every ordered pair matches exactly one family, and the closed form
+    # agrees with it, antisymmetrically, for all n up to 8 (2,772 pairs)
+    count = 0
+    for n in range(2, 9):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-        for p, r in combinations(pairs, 2):
+        for p, r in permutations(pairs, 2):
             e = comm_exponent(p, r, n)
+            assert e == _four_family_exponent(p, r), (p, r, n)
             assert e in (-2, -1, 0, 1, 2)
             assert comm_exponent(r, p, n) == -e
+            count += 1
+    assert count == 2772
 
 
 def test_build_examples():
