@@ -20,6 +20,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .coeff import GaussianRational, ScalarQ
 from .qalgebra import Element, TensorElement, center_lattice
@@ -319,16 +320,16 @@ def _cmd_check(args) -> int:
     names = args.suites or ["all"]
     if names == ["all"]:
         names = list(structure.SUITES) + ["negative-controls"]
-    reports = []
-    for name in names:
-        if name == "negative-controls":
-            reports.append(structure.negative_controls_report(args.n))
-        elif name in structure.SUITES:
-            reports.append(structure.SUITES[name](args.n, seed=args.seed))
-        else:
-            print(f"unknown suite {name!r}; available: {', '.join(structure.SUITES)}, negative-controls",
-                  file=sys.stderr)
-            return 2
+    unknown = [name for name in names if name != "negative-controls" and name not in structure.SUITES]
+    if unknown:
+        print(f"unknown suite {unknown[0]!r}; available: {', '.join(structure.SUITES)}, negative-controls",
+              file=sys.stderr)
+        return 2
+    reports = [
+        structure.negative_controls_report(args.n) if name == "negative-controls"
+        else structure.SUITES[name](args.n, seed=args.seed)
+        for name in names
+    ]
     for rep in reports:
         print(rep.line())
     if args.json:
@@ -382,7 +383,17 @@ def _cmd_autos(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and reused after it.
+
+    Building it costs many times what parsing one command line does, and
+    the tree never changes; it is built lazily, so that importing the module
+    costs nothing extra.  Reuse leaks no state between calls: ``parse_args``
+    and every subparser fill a fresh ``Namespace``, no action has a mutable
+    shared default (``nargs`` lists are made per call), and the ``fn``
+    defaults are module functions.
+    """
     top = argparse.ArgumentParser(
         prog="qtriangular",
         description="Exact computations in the quantum upper-triangular bialgebra "

@@ -89,6 +89,8 @@ class GaussianRational:
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
+        if type(x) is int:  # not bool, so r is always a true int
+            return _gr(x, 0, 1)
         return GaussianRational(x)
 
     def conjugate(self) -> "GaussianRational":

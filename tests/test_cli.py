@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qtriangular
+from qtriangular import cli, structure
 
 from helpers import random_sextuple, random_unit
 
@@ -194,6 +195,46 @@ def test_cli_reports_parse_errors(capsys):
     assert main(["normalize", "a[9,9]"]) == 2
     err = capsys.readouterr().err
     assert "out of range" in err
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["--json", "derivations", "classify", "--bound", "1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 3 * 2**3
+    assert main(["derivations", "classify"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3 * 4**3  # --bound is back to 3
+    assert main(["--json", "normalize", "q*a[1,2]"]) == 0
+    assert json.loads(capsys.readouterr().out)["expr"] == "q*a[1,2]"
+    assert main(["normalize", "q*a[1,2]"]) == 0
+    assert capsys.readouterr().out == "q*a[1,2]\n"
+    assert main(["check", "bialgebra"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert main(["check"]) == 0
+    out = capsys.readouterr().out
+    for name in [*structure.SUITES, "negative-controls"]:
+        assert f"{name}[n=2]: PASS" in out
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["normalize"], 2)])
+def test_help_and_usage_errors_repeat_identically(capsys, argv, code):
+    outputs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert (outputs[0].out if code == 0 else outputs[0].err).startswith("usage: qtriangular")
+
+
+def test_check_rejects_unknown_suite_before_running_any(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setitem(structure.SUITES, "bialgebra", lambda n, seed: calls.append(n))
+    assert main(["--n", "7", "check", "bialgebra", "nonsense"]) == 2
+    assert calls == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("unknown suite 'nonsense'; available: bialgebra, ")
 
 
 def test_huge_exponents_parse_fast():

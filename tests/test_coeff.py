@@ -271,6 +271,16 @@ def test_constant_scalars_hash_like_numbers():
     assert len({ScalarQ.constant(2), 2, Fraction(2), GaussianRational(2)}) == 1
 
 
+@pytest.mark.parametrize("x", [7, 0, -1, True])
+def test_coerce_int_matches_constructor(x):
+    g = GaussianRational.coerce(x)
+    assert g == GaussianRational(x) and hash(g) == hash(GaussianRational(x))
+    assert (g.r, g.s, g.d) == (int(x), 0, 1)
+    assert type(g.r) is int
+    assert str(g) == str(GaussianRational(x))
+    assert ScalarQ.constant(x).to_json() == ScalarQ({0: GaussianRational(x)}).to_json()
+
+
 # -- powers ----------------------------------------------------------------------
 
 
