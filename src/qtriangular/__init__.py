@@ -7,6 +7,7 @@ from .qalgebra import (
     Element,
     MorphismSpec,
     QAlgebra,
+    SCALARS,
     TensorElement,
     center_lattice,
     is_point,
@@ -24,6 +25,7 @@ from .triangular import (
     comm_exponent,
     coproduct,
     counit,
+    counit_spec,
     delta_spec,
     gamma_spec,
     qdet,

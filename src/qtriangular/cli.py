@@ -48,26 +48,19 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(det|[aiqtz])|([-+*^/()\[\],]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|(det|[aiqtz])|([-+*^/()\[\],])|(\S))")
+_KINDS = ("int", "name", "op")
 
 
 def _tokenize(text: str):
+    """(kind, text, position) triples, ending with an "end" token.  An
+    unknown character is reported at the start of the whitespace before it."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group(1):
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        g = m.lastindex
+        if g == 4:
+            raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
+        tokens.append((_KINDS[g - 1], m.group(g), m.start(g)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -247,10 +240,15 @@ def _emit(args, text: str, payload):
         print(text)
 
 
-def _cmd_normalize(args) -> int:
-    e = parse(args.expr, _algebra(args))
-    _emit(args, format_element(e), {"expr": format_element(e), "terms": e.to_json()})
+def _emit_element(args, e: Element) -> int:
+    text = format_element(e)
+    _emit(args, text, {"expr": text, "terms": e.to_json()})
     return 0
+
+
+def _cmd_map(args) -> int:
+    """normalize, antipode and star: the parsed expression under ``args.map``."""
+    return _emit_element(args, args.map(parse(args.expr, _algebra(args))))
 
 
 def _cmd_equal(args) -> int:
@@ -276,22 +274,8 @@ def _cmd_counit(args) -> int:
     return 0
 
 
-def _cmd_antipode(args) -> int:
-    e = antipode(parse(args.expr, _algebra(args)))
-    _emit(args, format_element(e), {"expr": format_element(e), "terms": e.to_json()})
-    return 0
-
-
-def _cmd_star(args) -> int:
-    e = star(parse(args.expr, _algebra(args)))
-    _emit(args, format_element(e), {"expr": format_element(e), "terms": e.to_json()})
-    return 0
-
-
 def _cmd_b(args) -> int:
-    e = b_element(args.i, args.j, _algebra(args))
-    _emit(args, format_element(e), {"expr": format_element(e), "terms": e.to_json()})
-    return 0
+    return _emit_element(args, b_element(args.i, args.j, _algebra(args)))
 
 
 def _cmd_center(args) -> int:
@@ -391,8 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     the tree never changes; it is built lazily, so that importing the module
     costs nothing extra.  Reuse leaks no state between calls: ``parse_args``
     and every subparser fill a fresh ``Namespace``, no action has a mutable
-    shared default (``nargs`` lists are made per call), and the ``fn``
-    defaults are module functions.
+    shared default (``nargs`` lists are made per call), and the ``fn`` and
+    ``map`` defaults are stateless functions.
     """
     top = argparse.ArgumentParser(
         prog="qtriangular",
@@ -407,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="normal form of an expression")
     p.add_argument("expr")
-    p.set_defaults(fn=_cmd_normalize)
+    p.set_defaults(fn=_cmd_map, map=lambda e: e)
 
     p = sub.add_parser("equal", help="exact equality of two expressions")
     p.add_argument("lhs")
@@ -424,11 +408,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("antipode", help="antipode (localized algebra only)")
     p.add_argument("expr")
-    p.set_defaults(fn=_cmd_antipode)
+    p.set_defaults(fn=_cmd_map, map=antipode)
 
     p = sub.add_parser("star", help="Hopf *-involution (localized algebra only)")
     p.add_argument("expr")
-    p.set_defaults(fn=_cmd_star)
+    p.set_defaults(fn=_cmd_map, map=star)
 
     p = sub.add_parser("b", help="the cofactor-like element b[i,j]")
     p.add_argument("i", type=int)

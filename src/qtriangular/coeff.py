@@ -162,23 +162,24 @@ class GaussianRational:
         return _power(_ONE_GR, self if n >= 0 else self.inverse(), abs(n))
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        if self.im == 1:
+            return f"{im}*i"
+        if im == 1:
             imtxt = "+i"
-        elif self.im == -1:
+        elif im == -1:
             imtxt = "-i"
-        elif self.im > 0:
-            imtxt = f"+{self.im}*i"
+        elif im > 0:
+            imtxt = f"+{im}*i"
         else:
-            imtxt = f"-{-self.im}*i"
-        return f"({self.re}{imtxt})"
+            imtxt = f"-{-im}*i"
+        return f"({re}{imtxt})"
 
     __repr__ = __str__
 
@@ -397,10 +398,11 @@ class ScalarQ:
 
     def to_json(self):
         """List of [exponent, re_num, re_den, im_num, im_den], sorted by exponent."""
-        return [
-            [k, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
-            for k, c in sorted(self.terms.items())
-        ]
+        out = []
+        for k, c in sorted(self.terms.items()):
+            re, im = c.re, c.im
+            out.append([k, re.numerator, re.denominator, im.numerator, im.denominator])
+        return out
 
     @staticmethod
     def from_json(data) -> "ScalarQ":

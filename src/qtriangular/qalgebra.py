@@ -161,6 +161,10 @@ def quantum_affine(n: int) -> QAlgebra:
     return QAlgebra([f"x{i}" for i in range(1, n + 1)], [False] * n, M)
 
 
+#: the generator-free algebra K, target of scalar-valued maps such as the counit
+SCALARS = QAlgebra((), (), ())
+
+
 class Element:
     """A finite linear combination of basis monomials of one algebra.
 
@@ -405,7 +409,7 @@ def tensor_square(left, right) -> TensorSquare:
 class TensorElement(Element):
     """An element of a ``TensorSquare``: ``terms`` maps pairs (u, v) of
     factor monomials to nonzero scalars.  All arithmetic is Element's; only
-    the factorwise maps and the `` (x) `` printing live here."""
+    the factorwise map, the flip and the `` (x) `` printing live here."""
 
     __slots__ = ()
 
@@ -433,19 +437,6 @@ class TensorElement(Element):
             piece = TensorElement.of(f(sq.left.term(mu, c)), g(sq.right.term(mv)))
             out = piece if out is None else out + piece
         return sq.zero() if out is None else out
-
-    def contract_left(self, functional) -> Element:
-        """Apply a scalar-valued linear functional to the left factor;
-        returns the resulting element of the right algebra."""
-        sq = self.algebra
-        out = sq.right.zero()
-        for (mu, mv), c in self.terms.items():
-            out = out + sq.right.term(mv, functional(sq.left.term(mu, c)))
-        return out
-
-    def contract_right(self, functional) -> Element:
-        """The same on the right factor; returns an element of the left algebra."""
-        return self.flip().contract_left(functional)
 
     def _term_strings(self):
         sq = self.algebra

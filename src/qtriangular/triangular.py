@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeff import ScalarQ, qpow
-from .qalgebra import Element, MorphismSpec, QAlgebra, TensorElement, tensor_square
+from .coeff import ZERO, ScalarQ, qpow
+from .qalgebra import SCALARS, Element, MorphismSpec, QAlgebra, TensorElement, tensor_square
 
 
 def comm_exponent(p, r, n: int) -> int:
@@ -128,18 +128,21 @@ def coproduct(e: Element) -> TensorElement:
     return delta_spec(alg).apply(e)
 
 
+@lru_cache(maxsize=None)
+def counit_spec(alg: TriangularAlgebra) -> MorphismSpec:
+    """The counit a[i,j] |-> delta_ij as a spec into ``SCALARS``; like
+    ``delta_spec`` it runs no point check, which the bialgebra suite runs."""
+    images = [SCALARS.one() if i == j else SCALARS.zero() for (i, j) in alg.gen_pairs]
+    return MorphismSpec(alg, images, check=False)
+
+
 def counit(e: Element) -> ScalarQ:
-    """Multiplicative linear extension of a[i,j] |-> delta_ij; diagonal
-    powers of either sign map to 1."""
+    """``counit_spec(alg).apply(e)`` read as a scalar; diagonal powers of
+    either sign map to 1."""
     alg = e.algebra
     if not isinstance(alg, TriangularAlgebra):
         raise ValueError("counit is defined on triangular algebras")
-    pairs = alg.gen_pairs
-    total = ScalarQ({})
-    for mono, c in e.terms.items():
-        if all(e_ == 0 or pairs[g][0] == pairs[g][1] for g, e_ in enumerate(mono)):
-            total = total + c
-    return total
+    return counit_spec(alg).apply(e).terms.get((), ZERO)
 
 
 # -- distinguished (anti)automorphisms ---------------------------------------
@@ -168,27 +171,21 @@ def rho_spec(alg: TriangularAlgebra) -> MorphismSpec:
 
 @lru_cache(maxsize=None)
 def theta_spec(alg: TriangularAlgebra) -> MorphismSpec:
-    """The signed reflection, defined for even n: the image of a[i,j] is
-    -a[n+1-j, n+1-i] when i <= n/2 < j and a[n+1-j, n+1-i] otherwise."""
+    """The signed reflection, defined for even n: rho's image of a[i,j],
+    negated when i <= n/2 < j."""
     n = alg.n
     if n % 2:
         raise ValueError("the signed reflection needs even n")
-    images = []
-    for (i, j) in alg.gen_pairs:
-        img = alg.a(n + 1 - j, n + 1 - i)
-        if i <= n // 2 < j:
-            img = -img
-        images.append(img)
-    return MorphismSpec(alg, images)
+    reflected = zip(alg.gen_pairs, rho_spec(alg).images)
+    return MorphismSpec(alg, [-img if i <= n // 2 < j else img for (i, j), img in reflected])
 
 
 @lru_cache(maxsize=None)
 def gamma_spec(alg: TriangularAlgebra) -> MorphismSpec:
-    """The antilinear reflection a[i,j] |-> a[n+1-j, n+1-i] (conjugates
-    scalar coefficients; q itself is fixed)."""
-    n = alg.n
-    images = [alg.a(n + 1 - j, n + 1 - i) for (i, j) in alg.gen_pairs]
-    return MorphismSpec(alg, images, antilinear=True)
+    """The antilinear reflection: rho's images, with coefficients conjugated.
+    They need no second point check, since conjugation fixes q, so it fixes
+    the relations' q-powers."""
+    return MorphismSpec(alg, rho_spec(alg).images, antilinear=True, check=False)
 
 
 # -- antipode ingredients -----------------------------------------------------

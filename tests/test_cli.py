@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -76,10 +77,12 @@ def test_parse_errors_have_positions():
     for text, alg in cases:
         with pytest.raises(ParseError):
             parse(text, alg)
-    try:
-        parse("q a[1,1]", T2)
-    except ParseError as err:
-        assert err.pos == 2
+    # an unknown character is reported where the whitespace before it starts
+    for text, pos in (("q a[1,1]", 2), ("@", 0), ("a[1,1] @", 6)):
+        with pytest.raises(ParseError) as info:
+            parse(text, T2)
+        assert info.value.pos == pos
+    assert parse("a[1,1]   ", T2) == T2.a(1, 1)
 
 
 def test_roundtrip_seeded():
@@ -189,6 +192,24 @@ def test_cli_autos(capsys):
     assert main(["autos", "decompose", "[5,2,3,0,4,7]"]) == 0
     assert "[1,1,1,0,0,0] * [1,1,1,0,4,7] * [5,2,3,0,0,0]" in capsys.readouterr().out
     assert main(["autos", "compose", "[1,1,1,0,0,0]"]) == 2  # arity
+
+
+def _readme_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for line in readme.splitlines():
+        if line.startswith("qtriangular ") and "# -> " in line:
+            command, expected = line.split("# -> ")
+            yield shlex.split(command)[1:], expected.strip()
+
+
+README_EXAMPLES = list(_readme_examples())
+
+
+@pytest.mark.parametrize("argv,expected", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples(argv, expected, capsys):
+    # each README line "qtriangular ARGS  # -> TEXT": TEXT is the first line printed
+    main(argv)
+    assert capsys.readouterr().out.splitlines()[0] == expected
 
 
 def test_cli_reports_parse_errors(capsys):

@@ -82,6 +82,21 @@ def test_divexact():
         ONE.divexact(ZERO)
 
 
+def test_gaussian_text():
+    G = GaussianRational
+    cases = [
+        (G(Fraction(3, 2)), "3/2"),
+        (G(0, 1), "i"),
+        (G(0, -1), "-i"),
+        (G(0, Fraction(2, 3)), "2/3*i"),
+        (G(1, 1), "(1+i)"),
+        (G(Fraction(1, 2), 2), "(1/2+2*i)"),
+        (G(-1, -3), "(-1-3*i)"),
+    ]
+    for g, text in cases:
+        assert str(g) == text
+
+
 def test_json_roundtrip():
     s = ScalarQ({-2: GaussianRational(Fraction(1, 3), 2), 5: GaussianRational(-1)})
     assert ScalarQ.from_json(s.to_json()) == s

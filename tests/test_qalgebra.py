@@ -9,6 +9,7 @@ import pytest
 import qtriangular
 from qtriangular.coeff import GaussianRational, ONE, qpow
 from qtriangular.qalgebra import (
+    SCALARS,
     Element,
     MorphismSpec,
     QAlgebra,
@@ -19,7 +20,7 @@ from qtriangular.qalgebra import (
     random_element,
     tensor_square,
 )
-from qtriangular.triangular import antipode_spec, build, counit, sigma_spec
+from qtriangular.triangular import antipode_spec, build, counit_spec, sigma_spec
 
 
 def test_presentation_validation():
@@ -243,15 +244,18 @@ def test_antimorphism_extension_reverses_products():
 
 
 def test_counit_contractions_recover_elements():
+    # the counit laws (eps (x) id)D = 1 (x) id and (id (x) eps)D = id (x) 1
     alg = build(3)
     from qtriangular.triangular import coproduct
 
+    eps = counit_spec(alg)
+    unit = SCALARS.one()
     rng = random.Random(8)
     for _ in range(6):
         e = random_element(alg, rng)
         te = coproduct(e)
-        assert te.contract_left(counit) == e
-        assert te.contract_right(counit) == e
+        assert te.map_factors(eps, lambda x: x) == TensorElement.of(unit, e)
+        assert te.map_factors(lambda x: x, eps) == TensorElement.of(e, unit)
 
 
 def test_tensor_flip_is_involutive():

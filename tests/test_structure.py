@@ -55,6 +55,7 @@ def test_mutated_coproduct_fails():
     assert not rep.passed
     assert rep.witness is not None
     label, lhs, rhs = rep.witness
+    assert label == "T left counit law on a[1,2]"
     assert lhs != rhs
 
 

@@ -5,11 +5,13 @@ import pytest
 
 from qtriangular.coeff import GaussianRational, I, ONE, ScalarQ, qpow
 from qtriangular.qalgebra import (
+    SCALARS,
     MorphismSpec,
     TensorElement,
     is_point,
     quantum_affine,
     random_element,
+    random_scalar,
     tensor_square,
 )
 from qtriangular.triangular import (
@@ -20,6 +22,7 @@ from qtriangular.triangular import (
     comm_exponent,
     coproduct,
     counit,
+    counit_spec,
     delta_spec,
     gamma_spec,
     qdet,
@@ -148,6 +151,56 @@ def test_counit_examples():
     U2 = build(2, True)
     assert counit(tgen(U2) * qdet(U2)) == ONE
     assert counit(tgen(U2)) == ONE
+
+
+def _counit_by_term_filter(e):
+    # the reference: sum the coefficients of the monomials in diagonal generators only
+    pairs = e.algebra.gen_pairs
+    total = ScalarQ({})
+    for mono, c in e.terms.items():
+        if all(k == 0 or pairs[g][0] == pairs[g][1] for g, k in enumerate(mono)):
+            total = total + c
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("localized", [False, True])
+def test_counit_matches_term_filter(n, localized):
+    alg = build(n, localized)
+    rng = random.Random(300 + 10 * n + localized)
+    samples = [random_element(alg, rng, max_terms=6, pos_range=(0, 2)) for _ in range(20)]
+    # monomials made of diagonals only, so the filter keeps terms
+    diag = [alg.gen_index(i, i) for i in range(1, n + 1)]
+    for _ in range(10):
+        e = alg.zero()
+        for _ in range(rng.randint(1, 4)):
+            mono = [0] * alg.ngens
+            for g in diag:
+                mono[g] = rng.randint(-2, 2) if localized else rng.randint(0, 2)
+            e = e + alg.monomial(mono, random_scalar(rng))
+        samples.append(e + random_element(alg, rng))
+    if localized:
+        assert any(k < 0 for e in samples for mono in e.terms for k in mono)
+    assert any(_counit_by_term_filter(e) for e in samples)
+    for e in samples:
+        assert counit(e) == _counit_by_term_filter(e)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_counit_spec_is_a_point(n):
+    for localized in (False, True):
+        alg = build(n, localized)
+        eps = counit_spec(alg)
+        assert eps.target is SCALARS
+        assert is_point(eps.images, alg)
+
+
+def test_gamma_reuses_rho_images():
+    for n in (2, 3, 4):
+        for localized in (False, True):
+            alg = build(n, localized)
+            assert gamma_spec(alg).images == rho_spec(alg).images
+            assert gamma_spec(alg).antilinear and not rho_spec(alg).antilinear
 
 
 def test_qdet_and_t():
