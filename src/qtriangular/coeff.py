@@ -11,6 +11,11 @@ coefficients.  Canonical form makes equality exact: two scalars are equal
 iff their term maps are identical.  q is formally invertible, so working
 with a formal q automatically avoids roots of unity.
 
+A scalar (exponent -> coefficient) and an algebra element (monomial ->
+scalar) are both sparse sums, so their sums, powers and printing are written
+once, in ``_SparseSum``.  Products stay with each type: a scalar product adds
+exponents, while an element product reorders monomials with a q-shift.
+
 All values are immutable and safe to share between threads.
 """
 
@@ -225,7 +230,67 @@ def _join_signed(parts) -> str:
     return " ".join(out)
 
 
-class ScalarQ:
+def _add_into(out: dict, terms: dict) -> None:
+    """Add the sparse sum ``terms`` into ``out`` in place, dropping zero sums."""
+    for k, c in terms.items():
+        s = out.get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+
+
+class _SparseSum:
+    """Sums, negation, equality, powers and printing of a sparse sum
+    ``terms`` (key -> nonzero value).  A subclass gives ``_coerce`` (None for
+    a foreign operand), ``_new`` (wraps a normal dict it owns), ``_one``,
+    ``inverse``, its product and ``_term_strings``.  ``perfbench/layers.py``
+    hooks methods found in ``vars(cls)``, so a subclass rebinds the hooked
+    ones it inherits."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.terms == o.terms
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self.terms)
+        _add_into(out, o.terms)
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else (-self) + o
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise TypeError("exponent must be an integer")
+        return _power(self._one(), self if n >= 0 else self.inverse(), abs(n))
+
+    def __str__(self):
+        return _join_signed(self._term_strings()) if self.terms else "0"
+
+    __repr__ = __str__
+
+
+class ScalarQ(_SparseSum):
     """A sparse Laurent polynomial in q.
 
     ``terms`` maps integer exponents to nonzero Gaussian-rational
@@ -250,22 +315,27 @@ class ScalarQ:
         return ScalarQ({0: GaussianRational.coerce(c)})
 
     @staticmethod
-    def coerce(x) -> "ScalarQ":
+    def _coerce(x):
+        """``x`` as a scalar, or None for an operand of a foreign type."""
         if isinstance(x, ScalarQ):
             return x
-        if isinstance(x, _NUMBER):
-            return ScalarQ.constant(x)
-        raise TypeError(f"cannot interpret {x!r} as a scalar")
+        return ScalarQ.constant(x) if isinstance(x, _NUMBER) else None
 
-    def __bool__(self):
-        return bool(self.terms)
+    @staticmethod
+    def coerce(x) -> "ScalarQ":
+        s = ScalarQ._coerce(x)
+        if s is None:
+            raise TypeError(f"cannot interpret {x!r} as a scalar")
+        return s
 
-    def __eq__(self, other):
-        if isinstance(other, ScalarQ):
-            return self.terms == other.terms
-        if isinstance(other, _NUMBER):
-            return self == ScalarQ.coerce(other)
-        return NotImplemented
+    @staticmethod
+    def _new(terms) -> "ScalarQ":
+        res = object.__new__(ScalarQ)
+        res.terms = terms
+        return res
+
+    def _one(self):
+        return ONE
 
     def __hash__(self):
         # a constant hashes like its coefficient (and zero like 0), as it
@@ -276,35 +346,9 @@ class ScalarQ:
             return hash(self.terms[0])
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other):
-        if not isinstance(other, ScalarQ):
-            return self + ScalarQ.constant(other) if isinstance(other, _NUMBER) else NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        res = ScalarQ.__new__(ScalarQ)
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = ScalarQ.__new__(ScalarQ)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        if isinstance(other, ScalarQ) or isinstance(other, _NUMBER):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other if isinstance(other, _NUMBER) else NotImplemented
+    # the shared sum and power, bound here so that perfbench finds them
+    __add__ = __radd__ = _SparseSum.__add__
+    __pow__ = _SparseSum.__pow__
 
     def __mul__(self, other):
         if not isinstance(other, ScalarQ):
@@ -320,9 +364,7 @@ class ScalarQ:
                     out[k] = s
                 elif k in out:
                     del out[k]
-        res = ScalarQ.__new__(ScalarQ)
-        res.terms = out
-        return res
+        return self._new(out)
 
     __rmul__ = __mul__
 
@@ -330,9 +372,7 @@ class ScalarQ:
         """Multiply by q^w (exponent shift)."""
         if w == 0:
             return self
-        res = ScalarQ.__new__(ScalarQ)
-        res.terms = {k + w: c for k, c in self.terms.items()}
-        return res
+        return self._new({k + w: c for k, c in self.terms.items()})
 
     @property
     def is_unit(self) -> bool:
@@ -345,16 +385,9 @@ class ScalarQ:
         ((k, c),) = self.terms.items()
         return ScalarQ({-k: c.inverse()})
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        return _power(ONE, self if n >= 0 else self.inverse(), abs(n))
-
     def conjugate(self) -> "ScalarQ":
         """Coefficient-wise Gaussian conjugation; q is fixed."""
-        res = ScalarQ.__new__(ScalarQ)
-        res.terms = {k: c.conjugate() for k, c in self.terms.items()}
-        return res
+        return self._new({k: c.conjugate() for k, c in self.terms.items()})
 
     def eval_at(self, q0) -> GaussianRational:
         """Exact evaluation at q = q0; q0 must be a unit (nonzero)."""
@@ -411,12 +444,8 @@ class ScalarQ:
             terms[int(k)] = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
         return ScalarQ(terms)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return _join_signed(_term_text(c, k) for k, c in sorted(self.terms.items()))
-
-    __repr__ = __str__
+    def _term_strings(self):
+        return (_term_text(c, k) for k, c in sorted(self.terms.items()))
 
 
 ZERO = ScalarQ({})

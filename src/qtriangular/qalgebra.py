@@ -8,8 +8,10 @@ flags, and an antisymmetric integer matrix M, with the convention
 Sorted monomials x^nu = g_1^(nu_1) ... g_N^(nu_N) form a basis (exponents of
 non-invertible generators are >= 0, invertible ones range over Z), so every
 element has a unique sparse normal form and equality is a dictionary
-comparison.  Presentations and values are immutable; all operations are pure
-functions, safe for concurrent use.
+comparison.  An element is a sparse sum like a scalar, so its sums, powers
+and printing are ``coeff._SparseSum``'s; the product stays its own, because
+it q-shifts by ``monomial_mul``.  Presentations and values are immutable; all
+operations are pure functions, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -21,15 +23,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import add
 
-from .coeff import _NUMBER, ONE, ZERO, GaussianRational, ScalarQ, _join_signed, _power, _term_text, qpow
-
-
-def _as_scalar_or_none(x):
-    if isinstance(x, ScalarQ):
-        return x
-    if isinstance(x, _NUMBER):
-        return ScalarQ.coerce(x)
-    return None
+from .coeff import ONE, ZERO, GaussianRational, ScalarQ, _add_into, _power, _SparseSum, _term_text, qpow
 
 
 class _Presentation:
@@ -165,7 +159,7 @@ def quantum_affine(n: int) -> QAlgebra:
 SCALARS = QAlgebra((), (), ())
 
 
-class Element:
+class Element(_SparseSum):
     """A finite linear combination of basis monomials of one algebra.
 
     ``terms`` maps monomials, in the form the algebra's ``canon_mono``
@@ -196,47 +190,11 @@ class Element:
             if other.algebra is not self.algebra:
                 raise ValueError("elements belong to different algebras")
             return other
-        s = _as_scalar_or_none(other)
-        if s is None:
-            return None
-        return self.algebra.scalar(s)
+        s = ScalarQ._coerce(other)
+        return None if s is None else self.algebra.scalar(s)
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for mono, c in o.terms.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return self._new(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _one(self):
+        return self.algebra.one()
 
     def scale(self, c) -> "Element":
         c = ScalarQ.coerce(c)
@@ -248,7 +206,7 @@ class Element:
         return self._new(out)
 
     def __mul__(self, other):
-        s = _as_scalar_or_none(other)
+        s = ScalarQ._coerce(other)
         if s is not None:
             return self.scale(s)
         if not isinstance(other, Element):
@@ -270,7 +228,7 @@ class Element:
         return self._new(out)
 
     def __rmul__(self, other):
-        s = _as_scalar_or_none(other)
+        s = ScalarQ._coerce(other)
         if s is not None:
             return self.scale(s)
         return NotImplemented
@@ -296,10 +254,8 @@ class Element:
             raise ArithmeticError(f"inverse self-check failed for {self}")
         return res
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        return _power(self.algebra.one(), self if n >= 0 else self.inverse(), abs(n))
+    # the shared power, bound here so that perfbench finds it
+    __pow__ = _SparseSum.__pow__
 
     def transport(self, algebra: QAlgebra) -> "Element":
         """Reinterpret in another algebra with the same generator count
@@ -328,11 +284,6 @@ class Element:
         text = self.algebra.mono_text
         for mono in sorted(self.terms, reverse=True):
             yield _scalar_times(self.terms[mono], text(mono))
-
-    def __str__(self):
-        return _join_signed(self._term_strings()) if self.terms else "0"
-
-    __repr__ = __str__
 
 
 def _scalar_times(c: ScalarQ, body: str):
@@ -430,13 +381,14 @@ class TensorElement(Element):
 
     def map_factors(self, f, g) -> "TensorElement":
         """Apply Element maps f and g factorwise; the coefficient rides on
-        the left factor, so antilinear f conjugates it."""
+        the left factor, so antilinear f conjugates it.  The result, even
+        for the zero tensor, lives in the square of f's and g's targets."""
         sq = self.algebra
-        out = None
+        # a fresh zero of that square, which nothing else holds, filled in place
+        out = TensorElement.of(f(sq.left.zero()), g(sq.right.zero()))
         for (mu, mv), c in self.terms.items():
-            piece = TensorElement.of(f(sq.left.term(mu, c)), g(sq.right.term(mv)))
-            out = piece if out is None else out + piece
-        return sq.zero() if out is None else out
+            _add_into(out.terms, TensorElement.of(f(sq.left.term(mu, c)), g(sq.right.term(mv))).terms)
+        return out
 
     def _term_strings(self):
         sq = self.algebra
@@ -525,16 +477,18 @@ class MorphismSpec:
         if self.antimorphism:
             order = reversed(order)
         order = tuple(order)
+        # a fresh zero that nothing else holds, filled in place
         out = self.target.zero()
         for mono, c in e.terms.items():
             if self.antilinear:
                 c = c.conjugate()
-            acc = self.target.scalar(c)
+            acc = None
             for g in order:
                 k = mono[g]
                 if k:
-                    acc = acc * self._image_power(g, k)
-            out = out + acc
+                    p = self._image_power(g, k)
+                    acc = p.scale(c) if acc is None else acc * p
+            _add_into(out.terms, (self.target.scalar(c) if acc is None else acc).terms)
         return out
 
     __call__ = apply

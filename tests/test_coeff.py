@@ -220,6 +220,11 @@ def test_gaussian_matches_fraction_reference(p, q):
         assert got.terms == want.terms
     for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
         assert getattr(sy, op)(e) is NotImplemented, op
+    # a foreign operand gets NotImplemented from Element too
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__eq__"):
+        assert getattr(e, op)("x") is NotImplemented, op
+    with pytest.raises(TypeError):
+        "x" - e
     with pytest.raises(TypeError):
         sy + "x"
     if b == 0:

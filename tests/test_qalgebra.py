@@ -258,6 +258,47 @@ def test_counit_contractions_recover_elements():
         assert te.map_factors(lambda x: x, eps) == TensorElement.of(e, unit)
 
 
+def test_map_factors_of_zero_lands_in_the_target_square():
+    from qtriangular.triangular import coproduct, delta_spec
+
+    alg = build(2)
+    zero = coproduct(alg.zero())
+    eps = counit_spec(alg)
+    assert zero.map_factors(eps, lambda x: x) == TensorElement.of(SCALARS.one(), alg.zero())
+    assert zero.map_factors(lambda x: x, eps) == TensorElement.of(alg.zero(), SCALARS.one())
+    delta = delta_spec(alg)
+    lhs = zero.map_factors(delta, lambda x: x)
+    assert lhs.algebra is tensor_square(tensor_square(alg, alg), alg) and not lhs
+    te = coproduct(alg.a(1, 2)).map_factors(delta, lambda x: x)
+    assert te + lhs == te
+
+
+def test_map_factors_and_apply_do_not_copy_the_running_sum(monkeypatch):
+    # both collect their result in one dict; adding each piece with
+    # Element.__add__ would copy the whole running sum every time
+    from qtriangular.triangular import coproduct, delta_spec
+
+    alg = build(4)
+    x = alg.a(1, 4) + alg.a(1, 3) + alg.a(2, 4)
+    te, e = coproduct(x**4), x**3
+    assert len(te.terms) >= 700 and len(e.terms) > 1
+    delta = delta_spec(alg)
+    want = delta.apply(e)
+    calls = []
+    add = Element.__add__
+
+    def counted(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(Element, "__add__", counted)
+    mapped = te.map_factors(lambda y: y, lambda y: y)
+    image = delta.apply(e)
+    assert len(calls) == 0
+    monkeypatch.undo()
+    assert mapped == te and image == want
+
+
 def test_tensor_flip_is_involutive():
     alg = build(2)
     rng = random.Random(9)
