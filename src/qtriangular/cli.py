@@ -346,23 +346,20 @@ def _cmd_derivations(args) -> int:
 
 
 def _cmd_autos(args) -> int:
-    if args.action == "compose":
-        out = g_compose(parse_sextuple(args.args[0]), parse_sextuple(args.args[1]))
-    elif args.action == "invert":
-        out = g_inverse(parse_sextuple(args.args[0]))
-    elif args.action == "conjugate":
-        out = rho_conjugate(parse_sextuple(args.args[0]))
-    elif args.action == "decompose":
-        g1, g2, g3 = g_decompose(parse_sextuple(args.args[0]))
-        text = f"{g1} * {g2} * {g3}"
-        _emit(args, text, {"factors": [str(g1), str(g2), str(g3)]})
+    want = 2 if args.action == "compose" else 1
+    if len(args.args) != want:
+        print(f"autos {args.action} needs {want} sextuple(s)", file=sys.stderr)
+        return 2
+    if args.action == "decompose":
+        factors = [str(g) for g in g_decompose(parse_sextuple(args.args[0]))]
+        _emit(args, " * ".join(factors), {"factors": factors})
         return 0
-    elif args.action == "is-hopf":
+    if args.action == "is-hopf":
         verdict = is_hopf_auto(parse_sextuple(args.args[0]))
         _emit(args, "hopf" if verdict else "not hopf", {"hopf": verdict})
         return 0 if verdict else 1
-    else:  # unreachable; argparse restricts choices
-        return 2
+    op = {"compose": g_compose, "invert": g_inverse, "conjugate": rho_conjugate}[args.action]
+    out = op(*map(parse_sextuple, args.args))
     _emit(args, str(out), {"sextuple": str(out)})
     return 0
 
@@ -442,11 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "autos":
-        want = 2 if args.action == "compose" else 1
-        if len(args.args) != want:
-            print(f"autos {args.action} needs {want} sextuple(s)", file=sys.stderr)
-            return 2
     try:
         return args.fn(args)
     except (ParseError, ValueError) as err:

@@ -127,12 +127,10 @@ def inner_derivation(x: Element) -> DerivationSpec:
 _ST = ((1, 1), (1, 2), (2, 2))
 
 
-def monomial_derivation(st, nu, alg=None) -> DerivationSpec:
-    """The map sending a[s,t] to a[1,1]^nu_11 a[1,2]^nu_12 a[2,2]^nu_22 and
-    the other two generators to zero."""
-    alg = alg or build(2)
-    if alg.n != 2:
-        raise ValueError("monomial derivations are classified for n = 2 only")
+def monomial_derivation(st, nu) -> DerivationSpec:
+    """The map on T_q(2) sending a[s,t] to a[1,1]^nu_11 a[1,2]^nu_12
+    a[2,2]^nu_22 and the other two generators to zero."""
+    alg = build(2)
     if tuple(st) not in _ST:
         raise ValueError(f"unknown generator {st}")
     if len(nu) != 3 or any(e < 0 for e in nu):
@@ -150,18 +148,17 @@ def dertypes_expected(st, nu) -> bool:
     return tuple(nu) in ((0, 0, 1), (1, 0, 0))
 
 
-def classify_T2(bound: int, alg=None) -> list:
+def classify_T2(bound: int) -> list:
     """Sweep every target generator and exponent triple with entries up to
     ``bound``; returns (st, nu, verdict) rows and raises if any verdict
     disagrees with the classification predicate."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    alg = alg or build(2)
     rows = []
     bad = []
     for st in _ST:
         for nu in iter_product(range(bound + 1), repeat=3):
-            verdict = is_derivation(monomial_derivation(st, nu, alg))
+            verdict = is_derivation(monomial_derivation(st, nu))
             rows.append((st, nu, verdict))
             if verdict != dertypes_expected(st, nu):
                 bad.append((st, nu, verdict))
@@ -251,13 +248,12 @@ def h1_membership_T2(bound: int = 3) -> CheckReport:
     are derivations, and no nontrivial linear combination of them is an
     inner derivation, in any degree (see ``_outer_independent``).
     ``bound`` is ignored and kept only for API compatibility."""
-    alg = build(2)
     return _outer_independent([
-        ("D11", monomial_derivation((1, 1), (1, 0, 0), alg)),
-        ("D12", monomial_derivation((1, 2), (0, 1, 0), alg)),
-        ("D22", monomial_derivation((2, 2), (0, 0, 1), alg)),
-        ("D11,(0,0,1)", monomial_derivation((1, 1), (0, 0, 1), alg)),
-        ("D22,(1,0,0)", monomial_derivation((2, 2), (1, 0, 0), alg)),
+        ("D11", monomial_derivation((1, 1), (1, 0, 0))),
+        ("D12", monomial_derivation((1, 2), (0, 1, 0))),
+        ("D22", monomial_derivation((2, 2), (0, 0, 1))),
+        ("D11,(0,0,1)", monomial_derivation((1, 1), (0, 0, 1))),
+        ("D22,(1,0,0)", monomial_derivation((2, 2), (1, 0, 0))),
     ])
 
 

@@ -5,21 +5,22 @@ size n, exactly over the formal scalar ring, and reports the first
 counterexample on failure.  The index tables are enumerated exhaustively;
 element-level identities may additionally sample seeded random elements.
 
-The ``_mutate_*`` keywords deliberately corrupt one structure constant so a
-suite can be shown to fail; ``negative_controls`` collects those runs.
+A suite with a negative control draws its identities from a line generator
+that takes the map under test: its ``check_*`` passes the real map, and
+``negative_controls`` passes one corrupted map, on which the suite must fail.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .coeff import I, ScalarQ, qpow
 from .qalgebra import SCALARS, MorphismSpec, TensorElement, is_point, random_element, tensor_square
 from .triangular import (
     TriangularAlgebra,
     antipode,
-    antipode_spec,
     b_element,
     build,
     coproduct,
@@ -88,6 +89,16 @@ def _identity(e):
     return e
 
 
+def _with_image(spec: MorphismSpec, g: int, image) -> MorphismSpec:
+    """``spec`` with generator g sent to ``image`` and no point check: the
+    corrupted map of a negative control."""
+    images = list(spec.images)
+    images[g] = image
+    return MorphismSpec(
+        spec.source, images, antimorphism=spec.antimorphism, antilinear=spec.antilinear, check=False
+    )
+
+
 def _coassociativity(delta: MorphismSpec, te: TensorElement):
     """The two sides (delta (x) id)(te) and (id (x) delta)(te), both in
     A (x) (A (x) A): the left side's keys ((u, v), w) are rebracketed to
@@ -97,94 +108,78 @@ def _coassociativity(delta: MorphismSpec, te: TensorElement):
     return TensorElement(rhs.algebra, {(u, (v, w)): c for ((u, v), w), c in lhs.terms.items()}), rhs
 
 
-def check_bialgebra(n: int, seed: int = 0, *, _mutate_a12_grouplike: bool = False) -> CheckReport:
+def _bialgebra_lines(alg: TriangularAlgebra, delta: MorphismSpec):
+    """Coassociativity of ``delta``, the counit laws for it, and the morphism
+    property of ``delta`` and the counit, on ``alg``."""
+    tag = "UT" if alg.localized else "T"
+    eps = counit_spec(alg)
+    unit = SCALARS.one()
+    for label, e in _gens_with_inverses(alg):
+        te = delta.apply(e)
+        lhs, rhs = _coassociativity(delta, te)
+        yield f"{tag} coassociativity on {label}", lhs, rhs
+        left, right = te.map_factors(eps, _identity), te.map_factors(_identity, eps)
+        yield f"{tag} left counit law on {label}", left, TensorElement.of(unit, e)
+        yield f"{tag} right counit law on {label}", right, TensorElement.of(e, unit)
+
+    yield f"{tag} comultiplication is a morphism", is_point(delta.images, alg), True
+    yield f"{tag} counit is a morphism", is_point(eps.images, alg), True
+    if alg.localized:
+        t = tgen(alg)
+        yield f"{tag} coproduct of t is group-like", delta.apply(t), TensorElement.of(t, t)
+        yield f"{tag} counit of t", counit(t), ScalarQ.constant(1)
+
+
+def check_bialgebra(n: int, seed: int = 0) -> CheckReport:
     """Coassociativity, counit laws, and the morphism property of the
-    comultiplication and counit, on both the plain and localized algebras.
-
-    The mutation hook replaces the image of a[1,2] by the group-like
-    a[1,2] (x) a[1,2], which must break the counit law.
-    """
-
-    def checks():
-        for localized in (False, True):
-            alg = build(n, localized)
-            tag = "UT" if localized else "T"
-            delta = delta_spec(alg)
-            if _mutate_a12_grouplike:
-                images = list(delta.images)
-                images[alg.gen_index(1, 2)] = TensorElement.of(alg.a(1, 2), alg.a(1, 2))
-                delta = MorphismSpec(alg, images, check=False)
-
-            eps = counit_spec(alg)
-            unit = SCALARS.one()
-            for label, e in _gens_with_inverses(alg):
-                te = delta.apply(e)
-                lhs, rhs = _coassociativity(delta, te)
-                yield f"{tag} coassociativity on {label}", lhs, rhs
-                left, right = te.map_factors(eps, _identity), te.map_factors(_identity, eps)
-                yield f"{tag} left counit law on {label}", left, TensorElement.of(unit, e)
-                yield f"{tag} right counit law on {label}", right, TensorElement.of(e, unit)
-
-            yield f"{tag} comultiplication is a morphism", is_point(delta.images, alg), True
-            yield f"{tag} counit is a morphism", is_point(eps.images, alg), True
-            if localized:
-                t = tgen(alg)
-                yield f"{tag} coproduct of t is group-like", delta.apply(t), TensorElement.of(t, t)
-                yield f"{tag} counit of t", counit(t), ScalarQ.constant(1)
-
-    return _run("bialgebra", n, checks())
+    comultiplication and counit, on both the plain and localized algebras."""
+    algs = (build(n), build(n, True))
+    return _run("bialgebra", n, chain.from_iterable(_bialgebra_lines(alg, delta_spec(alg)) for alg in algs))
 
 
-def check_antipode(n: int, seed: int = 0, *, _flip_b12_sign: bool = False) -> CheckReport:
-    """Both orientations of the antipode convolution identity in the
-    localized algebra, and the determinant-valued convolution identity for
-    the b elements in the plain algebra.
+def _convolve(f, g, e):
+    """m(f (x) g)D(e): the sum of c f(u) g(v) over the terms c u (x) v of D(e)."""
+    alg = e.algebra
+    out = alg.zero()
+    for (u, v), c in coproduct(e).terms.items():
+        out = out + f(alg.term(u, c)) * g(alg.term(v))
+    return out
 
-    The mutation hook flips the sign of b[1,2] in the plain-algebra
-    convolution sums.
-    """
 
-    def checks():
+def _b_table(t: TriangularAlgebra) -> dict:
+    return {(i, j): b_element(i, j, t) for (i, j) in t.gen_pairs}
+
+
+def _b_lines(t: TriangularAlgebra, b: dict):
+    """The determinant-valued convolution identities for the table ``b`` of
+    b elements in the plain algebra t."""
+    det = qdet(t)
+    for (i, j) in t.gen_pairs:
+        target = det if i == j else t.zero()
+        lhs = t.zero()
+        rhs = t.zero()
+        for k in range(i, j + 1):
+            lhs = lhs + b[i, k] * t.a(k, j)
+            rhs = rhs + (t.a(i, k) * b[k, j]).scale(qpow(2 * (k - j)))
+        yield f"T sum b[{i},k]a[k,{j}]", lhs, target
+        yield f"T sum q^(2(k-{j}))a[{i},k]b[k,{j}]", rhs, target
+
+
+def check_antipode(n: int, seed: int = 0) -> CheckReport:
+    """Both orientations m(S (x) id)D = m(id (x) S)D = ε(-)1 of the antipode
+    convolution identity on the generators and inverted diagonals of the
+    localized algebra, and the determinant-valued convolution identities
+    for the b elements in the plain algebra."""
+
+    def convolutions():
         ut = build(n, True)
-        spec = antipode_spec(ut)
-        one = ut.one()
-        for (i, j) in ut.gen_pairs:
-            eps = counit(ut.a(i, j))
-            lhs = ut.zero()
-            rhs = ut.zero()
-            for k in range(i, j + 1):
-                lhs = lhs + spec.apply(ut.a(i, k)) * ut.a(k, j)
-                rhs = rhs + ut.a(i, k) * spec.apply(ut.a(k, j))
-            yield f"UT sum S(a[{i},k])a[k,{j}]", lhs, one.scale(eps)
-            yield f"UT sum a[{i},k]S(a[k,{j}])", rhs, one.scale(eps)
-        for i in range(1, n + 1):
-            g = ut.a(i, i) ** -1
-            yield (
-                f"UT convolution on a[{i},{i}]^-1",
-                spec.apply(g) * g,
-                one,
-            )
+        for label, e in _gens_with_inverses(ut):
+            unit = ut.one().scale(counit(e))
+            yield f"UT m(S(x)id)D = e on {label}", _convolve(antipode, _identity, e), unit
+            yield f"UT m(id(x)S)D = e on {label}", _convolve(_identity, antipode, e), unit
 
-        t = build(n, False)
-
-        def bb(i, j):
-            e = b_element(i, j, t)
-            if _flip_b12_sign and (i, j) == (1, 2):
-                e = -e
-            return e
-
-        det = qdet(t)
-        for (i, j) in t.gen_pairs:
-            target = det if i == j else t.zero()
-            lhs = t.zero()
-            rhs = t.zero()
-            for k in range(i, j + 1):
-                lhs = lhs + bb(i, k) * t.a(k, j)
-                rhs = rhs + (t.a(i, k) * bb(k, j)).scale(qpow(2 * (k - j)))
-            yield f"T sum b[{i},k]a[k,{j}]", lhs, target
-            yield f"T sum q^(2(k-{j}))a[{i},k]b[k,{j}]", rhs, target
-
-    return _run("antipode", n, checks())
+    t = build(n)
+    return _run("antipode", n, chain(convolutions(), _b_lines(t, _b_table(t))))
 
 
 def check_s_squared(n: int, seed: int = 0) -> CheckReport:
@@ -274,144 +269,117 @@ def check_commutation_lemmas(n: int, seed: int = 0) -> CheckReport:
     return _run("commutation-lemmas", n, checks())
 
 
+def _symmetry_lines(alg: TriangularAlgebra, seed: int):
+    """Each of σ, ρ, γ commutes with D (up to the flip when it reverses the
+    coalgebra), with ε (up to conjugation when it is antilinear), and, in
+    the localized algebra, with S, and fixes t."""
+    tag = "UT" if alg.localized else "T"
+    # (name, spec, whether it flips D)
+    maps = (("s", sigma_spec(alg), False), ("r", rho_spec(alg), True), ("g", gamma_spec(alg), True))
+    for label, e in _gens_with_inverses(alg):
+        de, ee = coproduct(e), counit(e)
+        for x, f, flips in maps:
+            fe = f.apply(e)
+            dfe = coproduct(fe)
+            yield (
+                f"{tag} ({x}(x){x})D = {'flip.D.' if flips else 'D'}{x} on {label}",
+                de.map_factors(f.apply, f.apply),
+                dfe.flip() if flips else dfe,
+            )
+            conj = f.antilinear
+            rhs = ee.conjugate() if conj else ee
+            yield f"{tag} e{x} = {'conj.e' if conj else 'e'} on {label}", counit(fe), rhs
+
+    if alg.n % 2 == 0:
+        yield f"{tag} signed reflection is a point", is_point(theta_spec(alg).images, alg), True
+
+    if alg.localized:
+        t = tgen(alg)
+        for x, f, _ in maps:
+            yield f"{tag} {x}(t) = t", f.apply(t), t
+        rng = random.Random(seed)
+        profile = _random_profile(alg.n)
+        samples = _gens_with_inverses(alg)
+        samples += [(f"random#{k}", random_element(alg, rng, **profile)) for k in range(4)]
+        for label, e in samples:
+            se = antipode(e)
+            for x, f, _ in maps:
+                yield f"{tag} {x}S = S{x} on {label}", f.apply(se), antipode(f.apply(e))
+
+
 def check_morphism_symmetries(n: int, seed: int = 0) -> CheckReport:
     """Compatibility of the scaling, reflection, and antilinear-reflection
     maps with the coalgebra structure and the antipode; the signed
     reflection is point-checked when n is even."""
-
-    def checks():
-        for localized in (False, True):
-            alg = build(n, localized)
-            tag = "UT" if localized else "T"
-            sig = sigma_spec(alg)
-            rho = rho_spec(alg)
-            gam = gamma_spec(alg)
-
-            for label, e in _gens_with_inverses(alg):
-                de = coproduct(e)
-                yield (
-                    f"{tag} (s(x)s)D = Ds on {label}",
-                    de.map_factors(sig.apply, sig.apply),
-                    coproduct(sig.apply(e)),
-                )
-                yield f"{tag} es = e on {label}", counit(sig.apply(e)), counit(e)
-                yield (
-                    f"{tag} (r(x)r)D = flip.D.r on {label}",
-                    de.map_factors(rho.apply, rho.apply),
-                    coproduct(rho.apply(e)).flip(),
-                )
-                yield f"{tag} er = e on {label}", counit(rho.apply(e)), counit(e)
-                yield (
-                    f"{tag} (g(x)g)D = flip.D.g on {label}",
-                    de.map_factors(gam.apply, gam.apply),
-                    coproduct(gam.apply(e)).flip(),
-                )
-                yield (
-                    f"{tag} eg = conj.e on {label}",
-                    counit(gam.apply(e)),
-                    counit(e).conjugate(),
-                )
-
-            if n % 2 == 0:
-                yield f"{tag} signed reflection is a point", is_point(theta_spec(alg).images, alg), True
-
-            if localized:
-                t = tgen(alg)
-                yield f"{tag} s(t) = t", sig.apply(t), t
-                yield f"{tag} r(t) = t", rho.apply(t), t
-                yield f"{tag} g(t) = t", gam.apply(t), t
-                rng = random.Random(seed)
-                profile = _random_profile(n)
-                samples = [(label, e) for label, e in _gens_with_inverses(alg)]
-                samples += [(f"random#{k}", random_element(alg, rng, **profile)) for k in range(4)]
-                for label, e in samples:
-                    se = antipode(e)
-                    yield f"{tag} rS = Sr on {label}", rho.apply(se), antipode(rho.apply(e))
-                    yield f"{tag} gS = Sg on {label}", gam.apply(se), antipode(gam.apply(e))
-                    yield f"{tag} sS = Ss on {label}", sig.apply(se), antipode(sig.apply(e))
-
-    return _run("morphism-symmetries", n, checks())
+    algs = (build(n), build(n, True))
+    return _run("morphism-symmetries", n, chain.from_iterable(_symmetry_lines(alg, seed) for alg in algs))
 
 
-def check_star(n: int, seed: int = 0, samples: int = 6, *, _mutate_a11_scale: bool = False) -> CheckReport:
+def _star_lines(alg: TriangularAlgebra, st, seed: int):
+    """The map ``st`` on the localized ``alg`` is an antilinear involution, a
+    coalgebra morphism over the conjugation-fixed subfield, and satisfies
+    (st . S)^2 = id; six seeded random samples add to the generators."""
+    for label, e in _gens_with_inverses(alg):
+        yield (
+            f"D(*) = (*(x)*)D on {label}",
+            coproduct(st(e)),
+            coproduct(e).map_factors(st, st),
+        )
+        yield f"** = id on {label}", st(st(e)), e
+        yield f"e* = conj.e on {label}", counit(st(e)), counit(e).conjugate()
+
+    rng = random.Random(seed)
+    profile = _random_profile(alg.n)
+    ci = ScalarQ({1: I})
+    for k in range(6):
+        e = random_element(alg, rng, **profile)
+        f = random_element(alg, rng, **profile)
+        yield f"** = id on random#{k}", st(st(e)), e
+        yield f"antimultiplicative on random#{k}", st(e * f), st(f) * st(e)
+        yield f"antilinear on random#{k}", st(e.scale(ci)), st(e).scale(ci.conjugate())
+        yield (
+            f"(*S)^2 = id on random#{k}",
+            st(antipode(st(antipode(e)))),
+            e,
+        )
+        yield (
+            f"D(*) = (*(x)*)D on random#{k}",
+            coproduct(st(e)),
+            coproduct(e).map_factors(st, st),
+        )
+
+
+def check_star(n: int, seed: int = 0) -> CheckReport:
     """The Hopf *-structure: antilinear involution, coalgebra morphism over
-    the conjugation-fixed subfield, and (* . S)^2 = id.
-
-    The mutation hook multiplies the image of a[1,1] by q.  The images still
-    satisfy the relations, so only the suite itself can catch it, and it must
-    break D(*) = (*(x)*)D on a[1,1].
-    """
-
-    def checks():
-        alg = build(n, True)
-        st = star
-        if _mutate_a11_scale:
-            images = list(star_spec(alg).images)
-            g11 = alg.gen_index(1, 1)
-            images[g11] = images[g11].scale(qpow(1))
-            st = MorphismSpec(alg, images, antimorphism=True, antilinear=True, check=False).apply
-        for label, e in _gens_with_inverses(alg):
-            yield (
-                f"D(*) = (*(x)*)D on {label}",
-                coproduct(st(e)),
-                coproduct(e).map_factors(st, st),
-            )
-            yield f"** = id on {label}", st(st(e)), e
-            yield f"e* = conj.e on {label}", counit(st(e)), counit(e).conjugate()
-
-        rng = random.Random(seed)
-        profile = _random_profile(n)
-        ci = ScalarQ({1: I})
-        for k in range(samples):
-            e = random_element(alg, rng, **profile)
-            f = random_element(alg, rng, **profile)
-            yield f"** = id on random#{k}", st(st(e)), e
-            yield f"antimultiplicative on random#{k}", st(e * f), st(f) * st(e)
-            yield f"antilinear on random#{k}", st(e.scale(ci)), st(e).scale(ci.conjugate())
-            yield (
-                f"(*S)^2 = id on random#{k}",
-                st(antipode(st(antipode(e)))),
-                e,
-            )
-            yield (
-                f"D(*) = (*(x)*)D on random#{k}",
-                coproduct(st(e)),
-                coproduct(e).map_factors(st, st),
-            )
-
-    return _run("star", n, checks())
+    the conjugation-fixed subfield, and (* . S)^2 = id."""
+    return _run("star", n, _star_lines(build(n, True), star, seed))
 
 
-def check_point_product(n: int, seed: int = 0, *, _mutate_swap_images: bool = False) -> CheckReport:
+def _factor_tuples(t: TriangularAlgebra):
+    """A = (a[i,j] (x) 1) and B = (1 (x) a[i,j]), keyed by (i, j)."""
+    one = t.one()
+    A = {p: TensorElement.of(t.a(*p), one) for p in t.gen_pairs}
+    B = {p: TensorElement.of(one, t.a(*p)) for p in t.gen_pairs}
+    return A, B
+
+
+def _point_product_lines(t: TriangularAlgebra, A: dict, B: dict):
+    """A and B are points of the tensor square, and so is their matrix
+    product AB."""
+    pairs = t.gen_pairs
+    yield "A is a point", is_point([A[p] for p in pairs], t), True
+    yield "B is a point", is_point([B[p] for p in pairs], t), True
+    zero = tensor_square(t, t).zero()
+    AB = [sum((A[i, k] * B[k, j] for k in range(i, j + 1)), zero) for (i, j) in pairs]
+    yield "AB is a point", is_point(AB, t), True
+
+
+def check_point_product(n: int, seed: int = 0) -> CheckReport:
     """Re-derivation that the comultiplication is well defined: the tuples
     A = (a[i,j] (x) 1) and B = (1 (x) a[i,j]) are points of the tensor
-    square, and so is their matrix product AB.
-
-    The mutation hook swaps B's images of a[1,1] and a[1,2].
-    """
-
-    def checks():
-        t = build(n, False)
-        one = t.one()
-        A = {}
-        B = {}
-        for (i, j) in t.gen_pairs:
-            A[i, j] = TensorElement.of(t.a(i, j), one)
-            B[i, j] = TensorElement.of(one, t.a(i, j))
-        if _mutate_swap_images:
-            B[1, 1], B[1, 2] = B[1, 2], B[1, 1]
-        pairs = t.gen_pairs
-        yield "A is a point", is_point([A[p] for p in pairs], t), True
-        yield "B is a point", is_point([B[p] for p in pairs], t), True
-        AB = {}
-        for (i, j) in pairs:
-            s = tensor_square(t, t).zero()
-            for k in range(i, j + 1):
-                s = s + A[i, k] * B[k, j]
-            AB[i, j] = s
-        yield "AB is a point", is_point([AB[p] for p in pairs], t), True
-
-    return _run("point-product", n, checks())
+    square, and so is their matrix product AB."""
+    t = build(n)
+    return _run("point-product", n, _point_product_lines(t, *_factor_tuples(t)))
 
 
 SUITES = {
@@ -426,13 +394,27 @@ SUITES = {
 
 
 def negative_controls(n: int = 2) -> list:
-    """Run each deliberately corrupted structure; every report returned here
-    must FAIL with a witness, guarding the suites against vacuous passes."""
+    """Run suites on deliberately corrupted maps; every report returned here
+    must FAIL with a witness, guarding the suites against vacuous passes.
+
+    The corruptions: Δ sends a[1,2] to the group-like a[1,2] (x) a[1,2];
+    b[1,2] changes sign; B's images of a[1,1] and a[1,2] swap; and `*`
+    scales its image of a[1,1] by q, which still satisfies the relations,
+    so only the suite itself can catch it.
+    """
+    t, ut = build(n), build(n, True)
+    a12, a11 = t.gen_index(1, 2), ut.gen_index(1, 1)
+    grouplike = TensorElement.of(t.a(1, 2), t.a(1, 2))
+    b = _b_table(t)
+    b[1, 2] = -b[1, 2]
+    A, B = _factor_tuples(t)
+    B[1, 1], B[1, 2] = B[1, 2], B[1, 1]
+    st = star_spec(ut)
     return [
-        check_bialgebra(n, _mutate_a12_grouplike=True),
-        check_antipode(n, _flip_b12_sign=True),
-        check_point_product(n, _mutate_swap_images=True),
-        check_star(n, _mutate_a11_scale=True),
+        _run("bialgebra", n, _bialgebra_lines(t, _with_image(delta_spec(t), a12, grouplike))),
+        _run("antipode", n, _b_lines(t, b)),
+        _run("point-product", n, _point_product_lines(t, A, B)),
+        _run("star", n, _star_lines(ut, _with_image(st, a11, st.images[a11].scale(qpow(1))), 0)),
     ]
 
 

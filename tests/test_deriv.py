@@ -170,11 +170,11 @@ def test_h1_membership():
 def test_h1_proof_controls():
     T2 = build(2)
     five = [
-        ("D11", monomial_derivation((1, 1), (1, 0, 0), T2)),
-        ("D12", monomial_derivation((1, 2), (0, 1, 0), T2)),
-        ("D22", monomial_derivation((2, 2), (0, 0, 1), T2)),
-        ("D11,(0,0,1)", monomial_derivation((1, 1), (0, 0, 1), T2)),
-        ("D22,(1,0,0)", monomial_derivation((2, 2), (1, 0, 0), T2)),
+        ("D11", monomial_derivation((1, 1), (1, 0, 0))),
+        ("D12", monomial_derivation((1, 2), (0, 1, 0))),
+        ("D22", monomial_derivation((2, 2), (0, 0, 1))),
+        ("D11,(0,0,1)", monomial_derivation((1, 1), (0, 0, 1))),
+        ("D22,(1,0,0)", monomial_derivation((2, 2), (1, 0, 0))),
     ]
     assert _outer_independent(five).passed
     # an inner derivation in place of D12 has a weight in N^3 minus {0}
@@ -193,7 +193,7 @@ def test_h1_proof_controls():
     assert not rep.passed
     assert rep.witness == ("rank of the weight-(0, 0, 0) maps", "3", "4")
     # a map that is not a derivation is caught before its weight
-    rep = _outer_independent(five + [("D11,(1,0,1)", monomial_derivation((1, 1), (1, 0, 1), T2))])
+    rep = _outer_independent(five + [("D11,(1,0,1)", monomial_derivation((1, 1), (1, 0, 1)))])
     assert rep.witness == ("D11,(1,0,1) is a derivation", "False", "True")
 
 

@@ -8,10 +8,7 @@ from qtriangular.structure import (
     _m_bb,
     _m_diag,
     _m_offdiag,
-    check_antipode,
     check_bialgebra,
-    check_point_product,
-    check_star,
     negative_controls,
     negative_controls_report,
 )
@@ -50,8 +47,12 @@ def test_m_tables_spot_values():
     assert _m_bb(1, 2, 1, 2) == 0
 
 
+def _control(name, n=2):
+    return next(rep for rep in negative_controls(n) if rep.name == name)
+
+
 def test_mutated_coproduct_fails():
-    rep = check_bialgebra(2, _mutate_a12_grouplike=True)
+    rep = _control("bialgebra")
     assert not rep.passed
     assert rep.witness is not None
     label, lhs, rhs = rep.witness
@@ -74,23 +75,45 @@ def test_coassociativity_check_can_fail(n):
 
 
 def test_mutated_antipode_fails_at_offdiagonal():
-    rep = check_antipode(2, _flip_b12_sign=True)
+    rep = _control("antipode")
     assert not rep.passed
     assert "b[1,k]a[k,2]" in rep.witness[0]
     assert rep.witness[1] != "0"
 
 
 def test_mutated_point_product_fails():
-    rep = check_point_product(2, _mutate_swap_images=True)
+    rep = _control("point-product")
     assert not rep.passed
     assert rep.witness is not None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_mutated_star_fails_at_a11(n):
-    rep = check_star(n, _mutate_a11_scale=True)
+    rep = _control("star", n)
     assert not rep.passed
     assert rep.witness[0] == "D(*) = (*(x)*)D on a[1,1]"
+
+
+CONTROL_LINES_N2 = [
+    "bialgebra[n=2]: FAIL at T left counit law on a[1,2]: lhs = 0, rhs = 1 (x) a[1,2]",
+    "antipode[n=2]: FAIL at T sum b[1,k]a[k,2]: lhs = 2*q*a[1,2]*a[2,2], rhs = 0",
+    "point-product[n=2]: FAIL at B is a point: lhs = False, rhs = True",
+    "star[n=2]: FAIL at D(*) = (*(x)*)D on a[1,1]: "
+    "lhs = q*a[2,2]^-1 (x) a[2,2]^-1, rhs = q^2*a[2,2]^-1 (x) a[2,2]^-1",
+]
+
+CONTROL_LABELS = [
+    "T left counit law on a[1,2]",
+    "T sum b[1,k]a[k,2]",
+    "B is a point",
+    "D(*) = (*(x)*)D on a[1,1]",
+]
+
+
+def test_negative_control_witnesses_are_pinned():
+    assert [rep.line() for rep in negative_controls(2)] == CONTROL_LINES_N2
+    for n in (2, 3, 4, 5):
+        assert [rep.witness[0] for rep in negative_controls(n)] == CONTROL_LABELS
 
 
 def test_negative_controls_all_fail():
