@@ -98,6 +98,14 @@ class QAlgebra(_Presentation):
             name if e == 1 else f"{name}^{e}" for name, e in zip(self.gen_names, mono) if e
         )
 
+    def degree(self, mono):
+        """The degree of x^mono in a grading on which q-commutation factors,
+        or None when the presentation has none (as here).  A presentation
+        with a grading also has ``degree_form(d1, d2)``, the integer B with
+        x^alpha x^beta = q^B x^beta x^alpha whenever alpha and beta have
+        degrees d1 and d2; ``is_point`` uses it to skip products."""
+        return None
+
     def monomial_mul(self, alpha, beta):
         """Reorder x^alpha * x^beta into normal form.
 
@@ -349,6 +357,18 @@ class TensorSquare(_Presentation):
         u, v = mono
         return f"{self.left.mono_text(u) or '1'} (x) {self.right.mono_text(v) or '1'}"
 
+    def degree(self, mono):
+        """The pair of the factors' degrees, or None if a factor has none;
+        the factors commute, so the form is the sum of theirs."""
+        u, v = mono
+        du = self.left.degree(u)
+        dv = None if du is None else self.right.degree(v)
+        return None if dv is None else (du, dv)
+
+    def degree_form(self, d1, d2) -> int:
+        (u1, v1), (u2, v2) = d1, d2
+        return self.left.degree_form(u1, u2) + self.right.degree_form(v1, v2)
+
 
 @lru_cache(maxsize=None)
 def tensor_square(left, right) -> TensorSquare:
@@ -397,6 +417,14 @@ class TensorElement(Element):
             yield neg, f"{ltxt} (x) {sq.right.mono_text(mv) or '1'}"
 
 
+def homogeneous_degree(e: Element):
+    """The degree shared by every term of e, or None when e is zero, is not
+    homogeneous, or lives in a presentation without a grading."""
+    degree = e.algebra.degree
+    degrees = {degree(mono) for mono in e.terms}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
 def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     """Whether a tuple of images (one per generator) satisfies the defining
     relations of ``algebra`` in its target, i.e. encodes an algebra morphism.
@@ -407,19 +435,35 @@ def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     presentation, e.g. a ``TensorSquare`` (whose keys stay pairs; see
     there).  ``delta_spec`` builds the comultiplication without this check,
     which the bialgebra suite runs instead, once per size.
+
+    Each relation y*z = q^m * z*y is decided by degree first.  If y and z
+    are nonzero and homogeneous of degrees d and e in a graded target, then
+    y*z = q^B * z*y with B = ``degree_form(d, e)``, since q-commutation of
+    monomials depends on their degrees alone.  The target is a q-commutative
+    algebra over the domain Q(i)[q, q^-1], hence a domain, so z*y != 0 and
+    the relation holds exactly when B == m.  A pair with a zero or
+    inhomogeneous image (such as a coproduct image), or in a target without
+    a grading (such as ``SCALARS``), is decided by expanding both products.
     """
     images = list(images)
     if len(images) != algebra.ngens:
         raise ValueError("one image per generator required")
     sign = -1 if opposite else 1
+    # degrees only within one target; a stray image takes the product path,
+    # which rejects mixed algebras
+    target = images[0].algebra if images else None
+    degrees = [homogeneous_degree(img) if img.algebra is target else None for img in images]
     for a in range(algebra.ngens):
         if algebra.invertible[a] and not images[a].is_unit:
             return False
+        da = degrees[a]
         for b in range(a):
             m = sign * algebra.M[a][b]
-            lhs = images[a] * images[b]
-            rhs = (images[b] * images[a]).scale(qpow(m))
-            if lhs != rhs:
+            db = degrees[b]
+            if da is not None and db is not None:
+                if target.degree_form(da, db) != m:
+                    return False
+            elif images[a] * images[b] != (images[b] * images[a]).scale(qpow(m)):
                 return False
     return True
 
@@ -480,15 +524,22 @@ class MorphismSpec:
         # a fresh zero that nothing else holds, filled in place
         out = self.target.zero()
         for mono, c in e.terms.items():
-            if self.antilinear:
-                c = c.conjugate()
-            acc = None
+            powers = []
             for g in order:
-                k = mono[g]
-                if k:
-                    p = self._image_power(g, k)
-                    acc = p.scale(c) if acc is None else acc * p
-            _add_into(out.terms, (self.target.scalar(c) if acc is None else acc).terms)
+                if mono[g]:
+                    p = self._image_power(g, mono[g])
+                    if not p.terms:
+                        # a zero image power kills the term before any
+                        # further power, scale or product
+                        break
+                    powers.append(p)
+            else:
+                if self.antilinear:
+                    c = c.conjugate()
+                acc = powers[0].scale(c) if powers else self.target.scalar(c)
+                for p in powers[1:]:
+                    acc = acc * p
+                _add_into(out.terms, acc.terms)
         return out
 
     __call__ = apply

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .coeff import I, ScalarQ, qpow
-from .qalgebra import SCALARS, MorphismSpec, TensorElement, is_point, random_element, tensor_square
+from .qalgebra import (
+    SCALARS,
+    MorphismSpec,
+    TensorElement,
+    homogeneous_degree,
+    is_point,
+    random_element,
+    tensor_square,
+)
 from .triangular import (
     TriangularAlgebra,
     antipode,
@@ -222,51 +230,91 @@ def _m_bb(k, l, i, j):
     return 0
 
 
+def _q_ratio(x, y):
+    """The c with x = q^c * y, checked term by term, or None if there is
+    none or y is zero."""
+    if x is y:
+        return 0
+    if not y.terms or x.terms.keys() != y.terms.keys():
+        return None
+    c = None
+    for mono, cy in y.terms.items():
+        cx = x.terms[mono]
+        if c is None:
+            c = min(cx.terms) - min(cy.terms)
+        if cx != cy.q_shift(c):
+            return None
+    return c
+
+
+def _lemma_line(label, y, zt, z, yt, m):
+    """The line y*zt = q^m * z*yt of a commutation lemma, where yt and zt
+    are y and z or their twists by σ.
+
+    Decided by degree when it can be: σ scales each monomial by a q-power,
+    so if zt = q^c * z and yt = q^d * y term by term, and y, z are nonzero
+    and homogeneous, then y*zt = q^(c + B) * z*y with B the degree form, and
+    q^m * z*yt = q^(m + d) * z*y.  The algebra is a domain, so z*y != 0 and
+    the line holds exactly when c + B == m + d; it is then reported as the
+    equal pair (True, True).  A line this cannot decide, or decides false,
+    is built from the products, so its witness is the products' text.
+    """
+    c, d = _q_ratio(zt, z), _q_ratio(yt, y)
+    dy, dz = homogeneous_degree(y), homogeneous_degree(z)
+    if None not in (c, d, dy, dz) and c + y.algebra.degree_form(dy, dz) == m + d:
+        return label, True, True
+    return label, y * zt, (z * yt).scale(qpow(m))
+
+
+def _lemma_lines(t: TriangularAlgebra, m_diag, m_offdiag, m_bb):
+    """The four commutation tables between generators, determinant factors
+    and the b elements of the plain algebra t, with the exponents read from
+    the tables ``m_diag``, ``m_offdiag`` and ``m_bb`` under test."""
+    n = t.n
+    sig = sigma_spec(t).apply
+    offdiag = [(i, j) for (i, j) in t.gen_pairs if i < j]
+    bvals = {(i, j): b_element(i, j, t) for (i, j) in offdiag}
+    sbvals = {key: sig(val) for key, val in bvals.items()}
+
+    for k in range(1, n + 1):
+        akk = t.a(k, k)
+        bkk = b_element(k, k, t)
+        for (i, j) in offdiag:
+            m = m_diag(k, i, j)
+            b = bvals[i, j]
+            yield _lemma_line(f"a[{k},{k}]b[{i},{j}] = q^{m} b[{i},{j}]a[{k},{k}]", akk, b, b, akk, m)
+            yield _lemma_line(
+                f"b[{k},{k}]s(b[{i},{j}]) = q^{-m} b[{i},{j}]b[{k},{k}]", bkk, sbvals[i, j], b, bkk, -m
+            )
+
+    for (k, l) in offdiag:
+        akl = t.a(k, l)
+        sakl = sig(akl)
+        for (i, j) in offdiag:
+            b = bvals[i, j]
+            m = m_offdiag(k, l, i, j)
+            yield _lemma_line(f"a[{k},{l}]b[{i},{j}] = q^{m} b[{i},{j}]s(a[{k},{l}])", akl, b, b, sakl, m)
+            m = m_bb(k, l, i, j)
+            yield _lemma_line(
+                f"b[{k},{l}]s(b[{i},{j}]) = q^{-m} b[{i},{j}]s(b[{k},{l}])",
+                bvals[k, l], sbvals[i, j], b, sbvals[k, l], -m,
+            )
+
+
 def check_commutation_lemmas(n: int, seed: int = 0) -> CheckReport:
     """The four commutation tables between generators, determinant factors,
-    and the b elements, over every admissible index combination."""
+    and the b elements, over every admissible index combination.
 
-    def checks():
-        t = build(n, False)
-        sig = sigma_spec(t).apply
-        offdiag = [(i, j) for (i, j) in t.gen_pairs if i < j]
-        bvals = {(i, j): b_element(i, j, t) for (i, j) in offdiag}
-        sbvals = {key: sig(val) for key, val in bvals.items()}
-
-        for k in range(1, n + 1):
-            akk = t.a(k, k)
-            bkk = b_element(k, k, t)
-            for (i, j) in offdiag:
-                m = _m_diag(k, i, j)
-                yield (
-                    f"a[{k},{k}]b[{i},{j}] = q^{m} b[{i},{j}]a[{k},{k}]",
-                    akk * bvals[i, j],
-                    (bvals[i, j] * akk).scale(qpow(m)),
-                )
-                yield (
-                    f"b[{k},{k}]s(b[{i},{j}]) = q^{-m} b[{i},{j}]b[{k},{k}]",
-                    bkk * sbvals[i, j],
-                    (bvals[i, j] * bkk).scale(qpow(-m)),
-                )
-
-        for (k, l) in offdiag:
-            akl = t.a(k, l)
-            sakl = sig(akl)
-            for (i, j) in offdiag:
-                m = _m_offdiag(k, l, i, j)
-                yield (
-                    f"a[{k},{l}]b[{i},{j}] = q^{m} b[{i},{j}]s(a[{k},{l}])",
-                    akl * bvals[i, j],
-                    (bvals[i, j] * sakl).scale(qpow(m)),
-                )
-                m = _m_bb(k, l, i, j)
-                yield (
-                    f"b[{k},{l}]s(b[{i},{j}]) = q^{-m} b[{i},{j}]s(b[{k},{l}])",
-                    bvals[k, l] * sbvals[i, j],
-                    (bvals[i, j] * sbvals[k, l]).scale(qpow(-m)),
-                )
-
-    return _run("commutation-lemmas", n, checks())
+    Every line is y*zt = q^m * z*yt with y, z homogeneous for the torus
+    grading (``TriangularAlgebra.degree``: a[i,j] has degree (e_i, e_j),
+    b[i,j] has (1 - e_j, 1 - e_i)) and yt, zt equal to y, z or their σ
+    twists.  So each line is proved by one evaluation of the degree form
+    plus a termwise check that the twist is a q-power multiple, with no
+    product; since the algebra is a domain, a line whose degrees disagree
+    is false, and it is then rebuilt from the products for its witness
+    (see ``_lemma_line``).
+    """
+    return _run("commutation-lemmas", n, _lemma_lines(build(n, False), _m_diag, _m_offdiag, _m_bb))
 
 
 def _symmetry_lines(alg: TriangularAlgebra, seed: int):
@@ -398,9 +446,11 @@ def negative_controls(n: int = 2) -> list:
     must FAIL with a witness, guarding the suites against vacuous passes.
 
     The corruptions: Δ sends a[1,2] to the group-like a[1,2] (x) a[1,2];
-    b[1,2] changes sign; B's images of a[1,1] and a[1,2] swap; and `*`
-    scales its image of a[1,1] by q, which still satisfies the relations,
-    so only the suite itself can catch it.
+    b[1,2] changes sign; B's images of a[1,1] and a[1,2] swap; `*` scales
+    its image of a[1,1] by q, which still satisfies the relations, so only
+    the suite itself can catch it; and the commutation table ``_m_diag``
+    is off by one at k = 1, (i, j) = (1, 2), the suite's first line, which
+    the degree certificate rejects and the products then witness.
     """
     t, ut = build(n), build(n, True)
     a12, a11 = t.gen_index(1, 2), ut.gen_index(1, 1)
@@ -410,11 +460,16 @@ def negative_controls(n: int = 2) -> list:
     A, B = _factor_tuples(t)
     B[1, 1], B[1, 2] = B[1, 2], B[1, 1]
     st = star_spec(ut)
+
+    def m_diag(k, i, j):
+        return _m_diag(k, i, j) + ((k, i, j) == (1, 1, 2))
+
     return [
         _run("bialgebra", n, _bialgebra_lines(t, _with_image(delta_spec(t), a12, grouplike))),
         _run("antipode", n, _b_lines(t, b)),
         _run("point-product", n, _point_product_lines(t, A, B)),
         _run("star", n, _star_lines(ut, _with_image(st, a11, st.images[a11].scale(qpow(1))), 0)),
+        _run("commutation-lemmas", n, _lemma_lines(t, m_diag, _m_offdiag, _m_bb)),
     ]
 
 

@@ -1,0 +1,189 @@
+"""The torus grading and the degree certificates built on it.
+
+``is_point`` and the commutation-lemma lines decide q-commutation of
+homogeneous elements by their degrees instead of by products.  These tests
+hold the certificate to a product-only oracle kept here, check the degree
+form against ``monomial_mul``, and count the products it saves.
+"""
+
+import random
+
+import pytest
+
+from qtriangular.coeff import qpow
+from qtriangular.qalgebra import (
+    Element,
+    TensorElement,
+    homogeneous_degree,
+    is_point,
+    random_element,
+    random_scalar,
+    tensor_square,
+)
+from qtriangular.structure import _factor_tuples, check_commutation_lemmas
+from qtriangular.triangular import (
+    antipode_spec,
+    b_element,
+    build,
+    counit_spec,
+    delta_spec,
+    rho_spec,
+    sigma_spec,
+    star_spec,
+    tgen,
+    theta_spec,
+)
+
+
+def _is_point_by_products(images, algebra, opposite=False):
+    """The point check as products only: the oracle for the certificate."""
+    sign = -1 if opposite else 1
+    for a in range(algebra.ngens):
+        if algebra.invertible[a] and not images[a].is_unit:
+            return False
+        for b in range(a):
+            rhs = (images[b] * images[a]).scale(qpow(sign * algebra.M[a][b]))
+            if images[a] * images[b] != rhs:
+                return False
+    return True
+
+
+def _random_mono(alg, rng):
+    return tuple(
+        rng.randint(-2, 2) if alg.invertible[g] else rng.randint(0, 2) for g in range(alg.ngens)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("localized", [False, True])
+def test_degree_form_is_the_q_commutation_exponent(n, localized):
+    alg = build(n, localized)
+    sq = tensor_square(alg, alg)
+    rng = random.Random(100 * n + localized)
+    for _ in range(200):
+        alpha, beta = _random_mono(alg, rng), _random_mono(alg, rng)
+        (w1, _), (w2, _) = alg.monomial_mul(alpha, beta), alg.monomial_mul(beta, alpha)
+        assert alg.degree_form(alg.degree(alpha), alg.degree(beta)) == w1 - w2
+        u, v = (alpha, beta), (_random_mono(alg, rng), _random_mono(alg, rng))
+        (w1, _), (w2, _) = sq.monomial_mul(u, v), sq.monomial_mul(v, u)
+        assert sq.degree_form(sq.degree(u), sq.degree(v)) == w1 - w2
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_generators_and_b_elements_are_homogeneous(n):
+    t = build(n)
+    one = [1] * n
+
+    def e(i):
+        return tuple(int(k == i) for k in range(1, n + 1))
+
+    for (i, j) in t.gen_pairs:
+        assert homogeneous_degree(t.a(i, j)) == (e(i), e(j))
+        if i < j:
+            want = tuple(map(int.__sub__, one, e(j))), tuple(map(int.__sub__, one, e(i)))
+            assert homogeneous_degree(b_element(i, j, t)) == want
+    assert homogeneous_degree(t.zero()) is None
+    assert homogeneous_degree(t.a(1, 1) + t.a(1, 2)) is None
+    assert homogeneous_degree(delta_spec(t).images[t.gen_index(1, 2)]) is None
+
+
+def _tuples(n, rng):
+    """Named image tuples with the source algebra and orientation they are
+    meant for: homogeneous one- and multi-term, inhomogeneous, with zeros,
+    in a tensor square and in the scalars.  Lazily, so that the plain
+    generators are compared before any spec is built."""
+    t, ut = build(n), build(n, True)
+    pairs = t.gen_pairs
+    yield "generators", [t.gen(g) for g in range(t.ngens)], t, False
+    yield "scaled generators", [t.gen(g).scale(random_scalar(rng)) for g in range(t.ngens)], t, False
+    yield "diagonal, zeros elsewhere", [t.a(i, j) if i == j else t.zero() for (i, j) in pairs], t, False
+    yield "b elements", [b_element(i, j, t) for (i, j) in pairs], t, False
+    if n <= 3:
+        tt = tgen(ut)
+        yield "t*b, plain source", [tt * b_element(i, j, ut) for (i, j) in pairs], t, True
+    yield "sigma", sigma_spec(ut).images, ut, False
+    yield "rho", rho_spec(t).images, t, False
+    if n % 2 == 0:
+        yield "theta", theta_spec(t).images, t, False
+    yield "S = t*b", antipode_spec(ut).images, ut, True
+    yield "star", star_spec(ut).images, ut, True
+    yield "Delta", delta_spec(t).images, t, False
+    yield "counit", counit_spec(t).images, t, False
+    A, B = _factor_tuples(t)
+    zero = tensor_square(t, t).zero()
+    yield "A", [A[p] for p in pairs], t, False
+    yield "B", [B[p] for p in pairs], t, False
+    yield "AB", [sum((A[i, k] * B[k, j] for k in range(i, j + 1)), zero) for (i, j) in pairs], t, False
+
+
+def _corrupt(images, rng):
+    """One random change that keeps the images in their target: a swap, a
+    q-power or scalar factor, a zero, a sum of two images, or a random
+    element in the same target."""
+    images = list(images)
+    target = images[0].algebra
+    a, b = rng.sample(range(len(images)), 2)
+    kind = rng.randrange(6)
+    if kind == 0:
+        images[a], images[b] = images[b], images[a]
+    elif kind == 1:
+        images[a] = images[a].scale(qpow(rng.choice((-1, 1))))
+    elif kind == 2:
+        images[a] = images[a].scale(random_scalar(rng))
+    elif kind == 3:
+        images[a] = target.zero()
+    elif kind == 4:
+        images[a] = images[a] + images[b]
+    elif isinstance(images[a], TensorElement):
+        images[a] = TensorElement.of(
+            random_element(target.left, rng, max_terms=2, pos_range=(0, 1), inv_range=(-1, 1)),
+            random_element(target.right, rng, max_terms=2, pos_range=(0, 1), inv_range=(-1, 1)),
+        )
+    else:
+        images[a] = random_element(target, rng, max_terms=2, pos_range=(0, 1), inv_range=(-1, 1))
+    return images
+
+
+def test_is_point_agrees_with_products():
+    rng = random.Random(20)
+    verdicts = {}
+    for n in (2, 3, 4):
+        for name, images, source, opposite in _tuples(n, rng):
+            trials = [list(images)] + [_corrupt(images, rng) for _ in range(6)]
+            for k, imgs in enumerate(trials):
+                for opp in (opposite, not opposite):
+                    got = is_point(imgs, source, opposite=opp)
+                    want = _is_point_by_products(imgs, source, opposite=opp)
+                    assert got == want, (n, name, k, opp)
+                    verdicts.setdefault(name, set()).add(got)
+    # both verdicts occur, so neither side can pass vacuously
+    assert {True, False} <= set().union(*verdicts.values())
+    for name in ("generators", "S = t*b", "star", "Delta", "AB", "diagonal, zeros elsewhere"):
+        assert True in verdicts[name], name
+
+
+def test_is_point_rejects_mixed_algebras_as_before():
+    t2, t3 = build(2), build(3)
+    with pytest.raises(ValueError):
+        is_point([t2.a(1, 1), t3.a(1, 1), t2.a(2, 2)], t2)
+
+
+def test_certificates_multiply_no_two_multiterm_elements(monkeypatch):
+    ut = build(6, True)
+    images = antipode_spec(ut).images
+    assert sum(len(img.terms) > 1 for img in images) == 10
+    calls = []
+    mul = Element.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Element) and len(self.terms) > 1 and len(other.terms) > 1:
+            calls.append((len(self.terms), len(other.terms)))
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    fresh = antipode_spec.__wrapped__(ut)  # runs the point check again
+    rep = check_commutation_lemmas(6)
+    assert calls == []
+    monkeypatch.undo()
+    assert fresh.images == images
+    assert rep.passed

@@ -299,6 +299,28 @@ def test_map_factors_and_apply_do_not_copy_the_running_sum(monkeypatch):
     assert mapped == te and image == want
 
 
+def test_apply_drops_a_term_with_a_zero_image_power(monkeypatch):
+    # the counit sends a[1,2] to 0, so the whole term is dropped before
+    # any product of its image powers
+    alg = build(4)
+    eps = counit_spec(alg)
+    x = Element(alg, {(1, 1, 0, 0, 2, 0, 0, 1, 0, 0): 3})  # a[1,1]*a[1,2]*a[2,2]^2*a[3,3]
+    assert x.terms and eps.images[alg.gen_index(1, 2)] == SCALARS.zero()
+    calls = []
+    mul = Element.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    image = eps.apply(x)
+    assert len(calls) == 0
+    monkeypatch.undo()
+    assert image == SCALARS.zero()
+    assert eps.apply(x + alg.a(1, 1) ** 2) == SCALARS.one()
+
+
 def test_tensor_flip_is_involutive():
     alg = build(2)
     rng = random.Random(9)

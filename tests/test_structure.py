@@ -12,7 +12,7 @@ from qtriangular.structure import (
     negative_controls,
     negative_controls_report,
 )
-from qtriangular.triangular import build, delta_spec
+from qtriangular.triangular import TriangularAlgebra, build, delta_spec
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -94,12 +94,25 @@ def test_mutated_star_fails_at_a11(n):
     assert rep.witness[0] == "D(*) = (*(x)*)D on a[1,1]"
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_mutated_lemma_table_fails_alike_by_degree_and_by_products(n, monkeypatch):
+    by_degree = _control("commutation-lemmas", n)
+    # without a grading every lemma line is built from its products
+    monkeypatch.setattr(TriangularAlgebra, "degree", lambda self, mono: None)
+    by_products = _control("commutation-lemmas", n)
+    assert not by_degree.passed
+    assert by_degree.witness[0] == "a[1,1]b[1,2] = q^2 b[1,2]a[1,1]"
+    assert by_degree.line() == by_products.line()
+
+
 CONTROL_LINES_N2 = [
     "bialgebra[n=2]: FAIL at T left counit law on a[1,2]: lhs = 0, rhs = 1 (x) a[1,2]",
     "antipode[n=2]: FAIL at T sum b[1,k]a[k,2]: lhs = 2*q*a[1,2]*a[2,2], rhs = 0",
     "point-product[n=2]: FAIL at B is a point: lhs = False, rhs = True",
     "star[n=2]: FAIL at D(*) = (*(x)*)D on a[1,1]: "
     "lhs = q*a[2,2]^-1 (x) a[2,2]^-1, rhs = q^2*a[2,2]^-1 (x) a[2,2]^-1",
+    "commutation-lemmas[n=2]: FAIL at a[1,1]b[1,2] = q^2 b[1,2]a[1,1]: "
+    "lhs = - q*a[1,1]*a[1,2], rhs = - q^2*a[1,1]*a[1,2]",
 ]
 
 CONTROL_LABELS = [
@@ -107,18 +120,19 @@ CONTROL_LABELS = [
     "T sum b[1,k]a[k,2]",
     "B is a point",
     "D(*) = (*(x)*)D on a[1,1]",
+    "a[1,1]b[1,2] = q^2 b[1,2]a[1,1]",
 ]
 
 
 def test_negative_control_witnesses_are_pinned():
     assert [rep.line() for rep in negative_controls(2)] == CONTROL_LINES_N2
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 6, 7):
         assert [rep.witness[0] for rep in negative_controls(n)] == CONTROL_LABELS
 
 
 def test_negative_controls_all_fail():
     reports = negative_controls(2)
-    assert len(reports) == 4
+    assert len(reports) == 5
     for rep in reports:
         assert not rep.passed
         assert rep.witness
