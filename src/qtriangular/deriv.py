@@ -1,9 +1,11 @@
 """Derivations of the n = 2 algebras.
 
-A derivation is stored by its generator images and extended on demand by
-the Leibniz rule; for invertible generators D(g^-1) = -g^-1 D(g) g^-1.
-Because the defining relations are quadratic, a candidate is a derivation
-iff every pairwise relation is Leibniz-compatible, which is what
+A derivation D is stored by its generator images and extended by the
+morphism x |-> (x, D(x)) into Leibniz pairs: D(x^alpha) is the second half of
+the ordered product of the pairs (g^k, D(g^k)), which ``MorphismSpec``'s loop
+folds from its power cache, with D(g^-1) = -g^-1 D(g) g^-1 as the one
+inverse.  Because the defining relations are quadratic, a candidate is a
+derivation iff every pairwise relation is Leibniz-compatible, which is what
 ``is_derivation`` checks exactly.
 
 The classification sweep, the degree-one cohomology membership proof, and
@@ -16,66 +18,58 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .coeff import ZERO, ScalarQ, _power, qpow
-from .qalgebra import Element
+from .coeff import ZERO, ScalarQ, _add_into, qpow
+from .qalgebra import Element, MorphismSpec
 from .structure import CheckReport, _run
 from .triangular import build
 
 
 class _Leibniz(tuple):
-    """A pair (a, D(a)) with the Leibniz product (a, Da)(b, Db) = (ab, Da b + a Db)."""
+    """A pair (a, D(a)) with the Leibniz product (a, Da)(b, Db) = (ab, Da b + a Db);
+    ``terms`` are D(a)'s, which is what ``MorphismSpec.apply`` collects."""
 
     __slots__ = ()
 
     def __mul__(self, other):
         (a, da), (b, db) = self, other
-        return _Leibniz((a * b, da * b + a * db))
+        d = da * b
+        _add_into(d.terms, (a * db).terms)
+        return _Leibniz((a * b, d))
+
+    def inverse(self):
+        x = self[0].inverse()
+        return _Leibniz((x, -(x * self[1] * x)))
+
+    def scale(self, c):
+        return _Leibniz((self[0].scale(c), self[1].scale(c)))
+
+    @property
+    def terms(self):
+        return self[1].terms
 
 
-class DerivationSpec:
-    """Generator images of a would-be derivation of one algebra."""
+class DerivationSpec(MorphismSpec):
+    """Generator images of a would-be derivation of one algebra; its cached
+    image powers are the Leibniz pairs (g^k, D(g^k)), so D(x^alpha) is the
+    second half of their ordered product, folded by ``MorphismSpec``'s loop."""
 
-    __slots__ = ("algebra", "images")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, images):
-        images = tuple(images)
-        if len(images) != algebra.ngens:
-            raise ValueError("one image per generator required")
-        for img in images:
-            if img.algebra is not algebra:
-                raise ValueError("derivation images must live in the same algebra")
+        super().__init__(algebra, images, check=False)
+        if self.target is not algebra:
+            raise ValueError("derivation images must live in the same algebra")
         self.algebra = algebra
-        self.images = images
+        self._unit = _Leibniz((algebra.one(), algebra.zero()))
+        self._powers = {(g, 1): _Leibniz((algebra.gen(g), img)) for g, img in enumerate(self.images)}
 
-    def _power_image(self, g: int, k: int) -> Element:
-        """D(g^k) as the second half of (x, D(x))^|k| under the Leibniz
-        product, with x = g or g^-1: O(log |k|) products."""
-        alg = self.algebra
-        x, dx = alg.gen(g), self.images[g]
-        if k < 0:
-            x = x.inverse()
-            dx = -(x * dx * x)
-        return _power(_Leibniz((alg.one(), alg.zero())), _Leibniz((x, dx)), abs(k))[1]
-
-    def apply(self, e: Element) -> Element:
-        """Leibniz extension to an arbitrary element."""
-        alg = self.algebra
-        if e.algebra is not alg:
-            raise ValueError("element does not belong to the derivation's algebra")
-        n = alg.ngens
-        out = alg.zero()
-        for mono, c in e.terms.items():
-            for g, k in enumerate(mono):
-                if not k:
-                    continue
-                prefix = alg.monomial(mono[:g] + (0,) * (n - g), c)
-                suffix = alg.monomial((0,) * (g + 1) + mono[g + 1 :])
-                out = out + prefix * self._power_image(g, k) * suffix
-        return out
-
-    __call__ = apply
+    # MorphismSpec's loop under its own name, so that ``perfbench/layers.py``
+    # can time derivations apart from morphisms
+    apply = __call__ = MorphismSpec.apply
 
     def __add__(self, other):
+        if not isinstance(other, DerivationSpec):
+            return NotImplemented
         if self.algebra is not other.algebra:
             raise ValueError("derivations over different algebras")
         return DerivationSpec(self.algebra, [a + b for a, b in zip(self.images, other.images)])
@@ -84,7 +78,7 @@ class DerivationSpec:
         return DerivationSpec(self.algebra, [-a for a in self.images])
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, DerivationSpec) else NotImplemented
 
     def scale(self, c) -> "DerivationSpec":
         return DerivationSpec(self.algebra, [img.scale(c) for img in self.images])
@@ -101,16 +95,13 @@ class DerivationSpec:
 
 
 def is_derivation(spec: DerivationSpec) -> bool:
-    """Whether every defining relation is Leibniz-compatible:
-    D(a)b + aD(b) = q^(M[a][b]) (D(b)a + bD(a)) for every generator pair."""
-    alg = spec.algebra
+    """Whether every defining relation is Leibniz-compatible: the second
+    halves of the generator pairs' products satisfy D(ab) = q^(M[a][b]) D(ba)."""
+    alg, pairs = spec.algebra, spec._powers
     for a in range(alg.ngens):
-        ga, da = alg.gen(a), spec.images[a]
         for b in range(a):
-            gb, db = alg.gen(b), spec.images[b]
-            lhs = da * gb + ga * db
-            rhs = (db * ga + gb * da).scale(qpow(alg.M[a][b]))
-            if lhs != rhs:
+            ab, ba = pairs[a, 1] * pairs[b, 1], pairs[b, 1] * pairs[a, 1]
+            if ab[1] != ba[1].scale(qpow(alg.M[a][b])):
                 return False
     return True
 

@@ -474,9 +474,13 @@ class MorphismSpec:
 
     The images must pass the point check (reversed relations for an
     antimorphism), which is verified at construction unless ``check=False``.
+    ``apply`` folds cached image powers, seeded by the images as the k = 1
+    powers and by ``_unit`` as every k = 0 power; it asks of them only a
+    product, ``scale``, ``inverse``, truth and ``terms``, so a derivation
+    folds its Leibniz pairs through the same loop (see ``deriv``).
     """
 
-    __slots__ = ("source", "target", "images", "antimorphism", "antilinear", "_powers")
+    __slots__ = ("source", "target", "images", "antimorphism", "antilinear", "_unit", "_powers")
 
     def __init__(self, source: QAlgebra, images, *, antimorphism=False, antilinear=False, check=True):
         images = tuple(images)
@@ -491,7 +495,8 @@ class MorphismSpec:
         self.images = images
         self.antimorphism = bool(antimorphism)
         self.antilinear = bool(antilinear)
-        self._powers = {}
+        self._unit = target.one()
+        self._powers = {(g, 1): img for g, img in enumerate(images)}
         if check:
             for g in range(source.ngens):
                 if source.invertible[g] and not images[g].is_unit:
@@ -507,10 +512,9 @@ class MorphismSpec:
         if cached is None:
             if k == -1:
                 # the one inversion per generator; every k < -1 reuses it
-                cached = self.images[g].inverse()
+                cached = self._powers[g, 1].inverse()
             else:
-                base = self.images[g] if k >= 0 else self._image_power(g, -1)
-                cached = _power(self.target.one(), base, abs(k))
+                cached = _power(self._unit, self._image_power(g, 1 if k >= 0 else -1), abs(k))
             self._powers[(g, k)] = cached
         return cached
 
@@ -528,7 +532,7 @@ class MorphismSpec:
             for g in order:
                 if mono[g]:
                     p = self._image_power(g, mono[g])
-                    if not p.terms:
+                    if not p:
                         # a zero image power kills the term before any
                         # further power, scale or product
                         break
@@ -536,7 +540,7 @@ class MorphismSpec:
             else:
                 if self.antilinear:
                     c = c.conjugate()
-                acc = powers[0].scale(c) if powers else self.target.scalar(c)
+                acc = (powers[0] if powers else self._unit).scale(c)
                 for p in powers[1:]:
                     acc = acc * p
                 _add_into(out.terms, acc.terms)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 
-from .coeff import I, ScalarQ, qpow
+from .coeff import I, ScalarQ, _add_into, qpow
 from .qalgebra import (
     SCALARS,
     MorphismSpec,
@@ -29,6 +29,7 @@ from .qalgebra import (
 from .triangular import (
     TriangularAlgebra,
     antipode,
+    antipode_spec,
     b_element,
     build,
     coproduct,
@@ -148,9 +149,10 @@ def check_bialgebra(n: int, seed: int = 0) -> CheckReport:
 def _convolve(f, g, e):
     """m(f (x) g)D(e): the sum of c f(u) g(v) over the terms c u (x) v of D(e)."""
     alg = e.algebra
+    # a fresh zero that nothing else holds, filled in place
     out = alg.zero()
     for (u, v), c in coproduct(e).terms.items():
-        out = out + f(alg.term(u, c)) * g(alg.term(v))
+        _add_into(out.terms, (f(alg.term(u, c)) * g(alg.term(v))).terms)
     return out
 
 
@@ -190,15 +192,16 @@ def check_antipode(n: int, seed: int = 0) -> CheckReport:
     return _run("antipode", n, chain(convolutions(), _b_lines(t, _b_table(t))))
 
 
+def _s_squared_lines(ut: TriangularAlgebra, s):
+    """S^2 = id for the antipode ``s`` of the localized ut on every
+    generator and inverted diagonal."""
+    for label, e in _gens_with_inverses(ut):
+        yield f"S^2 on {label}", s(s(e)), e
+
+
 def check_s_squared(n: int, seed: int = 0) -> CheckReport:
     """S^2 = id on every generator and inverted diagonal."""
-
-    def checks():
-        ut = build(n, True)
-        for label, e in _gens_with_inverses(ut):
-            yield f"S^2 on {label}", antipode(antipode(e)), e
-
-    return _run("s-squared", n, checks())
+    return _run("s-squared", n, _s_squared_lines(build(n, True), antipode))
 
 
 def _m_diag(k, i, j):
@@ -317,13 +320,14 @@ def check_commutation_lemmas(n: int, seed: int = 0) -> CheckReport:
     return _run("commutation-lemmas", n, _lemma_lines(build(n, False), _m_diag, _m_offdiag, _m_bb))
 
 
-def _symmetry_lines(alg: TriangularAlgebra, seed: int):
-    """Each of σ, ρ, γ commutes with D (up to the flip when it reverses the
-    coalgebra), with ε (up to conjugation when it is antilinear), and, in
-    the localized algebra, with S, and fixes t."""
+def _symmetry_lines(alg: TriangularAlgebra, sigma: MorphismSpec, seed: int):
+    """Each of the scaling ``sigma`` under test, ρ and γ commutes with D (up
+    to the flip when it reverses the coalgebra), with ε (up to conjugation
+    when it is antilinear), and, in the localized algebra, with S, and
+    fixes t."""
     tag = "UT" if alg.localized else "T"
     # (name, spec, whether it flips D)
-    maps = (("s", sigma_spec(alg), False), ("r", rho_spec(alg), True), ("g", gamma_spec(alg), True))
+    maps = (("s", sigma, False), ("r", rho_spec(alg), True), ("g", gamma_spec(alg), True))
     for label, e in _gens_with_inverses(alg):
         de, ee = coproduct(e), counit(e)
         for x, f, flips in maps:
@@ -360,7 +364,8 @@ def check_morphism_symmetries(n: int, seed: int = 0) -> CheckReport:
     maps with the coalgebra structure and the antipode; the signed
     reflection is point-checked when n is even."""
     algs = (build(n), build(n, True))
-    return _run("morphism-symmetries", n, chain.from_iterable(_symmetry_lines(alg, seed) for alg in algs))
+    lines = (_symmetry_lines(alg, sigma_spec(alg), seed) for alg in algs)
+    return _run("morphism-symmetries", n, chain.from_iterable(lines))
 
 
 def _star_lines(alg: TriangularAlgebra, st, seed: int):
@@ -448,18 +453,22 @@ def negative_controls(n: int = 2) -> list:
     The corruptions: Δ sends a[1,2] to the group-like a[1,2] (x) a[1,2];
     b[1,2] changes sign; B's images of a[1,1] and a[1,2] swap; `*` scales
     its image of a[1,1] by q, which still satisfies the relations, so only
-    the suite itself can catch it; and the commutation table ``_m_diag``
-    is off by one at k = 1, (i, j) = (1, 2), the suite's first line, which
-    the degree certificate rejects and the products then witness.
+    the suite itself can catch it; the commutation table ``_m_diag`` is off
+    by one at k = 1, (i, j) = (1, 2), the suite's first line, which the
+    degree certificate rejects and the products then witness; S scales its
+    image of a[1,2] by q, so S^2(a[1,2]) = q^2 a[1,2] at the suite's second
+    line; and σ scales its image of a[1,1] by q, which D sees at once.
     """
     t, ut = build(n), build(n, True)
-    a12, a11 = t.gen_index(1, 2), ut.gen_index(1, 1)
+    a12, a11 = t.gen_index(1, 2), t.gen_index(1, 1)
     grouplike = TensorElement.of(t.a(1, 2), t.a(1, 2))
     b = _b_table(t)
     b[1, 2] = -b[1, 2]
     A, B = _factor_tuples(t)
     B[1, 1], B[1, 2] = B[1, 2], B[1, 1]
-    st = star_spec(ut)
+
+    def times_q(spec, g):
+        return _with_image(spec, g, spec.images[g].scale(qpow(1)))
 
     def m_diag(k, i, j):
         return _m_diag(k, i, j) + ((k, i, j) == (1, 1, 2))
@@ -468,8 +477,10 @@ def negative_controls(n: int = 2) -> list:
         _run("bialgebra", n, _bialgebra_lines(t, _with_image(delta_spec(t), a12, grouplike))),
         _run("antipode", n, _b_lines(t, b)),
         _run("point-product", n, _point_product_lines(t, A, B)),
-        _run("star", n, _star_lines(ut, _with_image(st, a11, st.images[a11].scale(qpow(1))), 0)),
+        _run("star", n, _star_lines(ut, times_q(star_spec(ut), a11), 0)),
         _run("commutation-lemmas", n, _lemma_lines(t, m_diag, _m_offdiag, _m_bb)),
+        _run("s-squared", n, _s_squared_lines(ut, times_q(antipode_spec(ut), a12))),
+        _run("morphism-symmetries", n, _symmetry_lines(t, times_q(sigma_spec(t), a11), 0)),
     ]
 
 

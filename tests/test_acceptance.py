@@ -170,7 +170,7 @@ def test_criterion_11_star_structure():
 def test_criterion_12_negative_controls():
     with criterion(12, "negative controls", 10):
         reports = negative_controls(2)
-        assert len(reports) == 5
+        assert len(reports) == 7
         for rep in reports:
             assert not rep.passed
             assert rep.witness is not None

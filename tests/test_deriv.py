@@ -140,7 +140,66 @@ def test_power_images_match_linear_sum():
             for g in range(alg.ngens):
                 ks = range(-6, 10) if alg.invertible[g] else range(0, 10)
                 for k in ks:
-                    assert spec._power_image(g, k) == _linear_power_image(spec, g, k), (g, k)
+                    assert spec._image_power(g, k)[1] == _linear_power_image(spec, g, k), (g, k)
+
+
+def _prefix_suffix_apply(spec, e):
+    """The Leibniz rule written out: the sum over terms c x^alpha and
+    generators g of c * prefix * D(g^alpha_g) * suffix, with the linear
+    D(g^k) above; the oracle for the folded extension."""
+    alg = spec.algebra
+    n = alg.ngens
+    out = alg.zero()
+    for mono, c in e.terms.items():
+        for g, k in enumerate(mono):
+            if k:
+                prefix = alg.monomial(mono[:g] + (0,) * (n - g), c)
+                suffix = alg.monomial((0,) * (g + 1) + mono[g + 1 :])
+                out = out + prefix * _linear_power_image(spec, g, k) * suffix
+    return out
+
+
+def test_apply_matches_prefix_suffix_sum():
+    rng = random.Random(25)
+    for alg in (build(2), build(2, True)):
+        specs = list(named_derivations(alg).values()) + [
+            inner_derivation(random_element(alg, rng)),
+            DerivationSpec(alg, [alg.a(1, 2), alg.a(1, 1) + alg.a(2, 2), alg.zero()]),
+        ]
+        elements = [random_element(alg, rng, max_terms=6) for _ in range(6)]
+        if alg.invertible[0]:
+            assert any(min(mono) < 0 for e in elements for mono in e.terms)
+        for spec in specs:
+            for e in elements:
+                assert spec.apply(e) == _prefix_suffix_apply(spec, e), (spec.images, e)
+
+
+def test_second_apply_builds_no_new_power(monkeypatch):
+    from qtriangular import qalgebra
+
+    U2 = build(2, True)
+    e = random_element(U2, random.Random(26), max_terms=6)
+    spec = named_derivations(U2)["D11"] + inner_derivation(U2.a(1, 2))
+    calls = []
+    power = qalgebra._power
+
+    def counted(*args):
+        calls.append(args)
+        return power(*args)
+
+    monkeypatch.setattr(qalgebra, "_power", counted)
+    first = spec.apply(e)
+    assert calls
+    calls.clear()
+    assert spec.apply(e) == first
+    assert calls == []
+
+
+def test_linear_operations_reject_foreign_operands():
+    d = named_derivations(build(2))["D11"]
+    for bad in (lambda: d + 1, lambda: d - 1, lambda: d + "x"):
+        with pytest.raises(TypeError):
+            bad()
 
 
 @pytest.mark.parametrize("k", [100000, -100000])

@@ -274,9 +274,11 @@ def test_map_factors_of_zero_lands_in_the_target_square():
 
 
 def test_map_factors_and_apply_do_not_copy_the_running_sum(monkeypatch):
-    # both collect their result in one dict; adding each piece with
+    # each collects its result in one dict; adding each piece with
     # Element.__add__ would copy the whole running sum every time
-    from qtriangular.triangular import coproduct, delta_spec
+    from qtriangular.deriv import named_derivations
+    from qtriangular.structure import _convolve, _identity
+    from qtriangular.triangular import antipode, coproduct, counit, delta_spec
 
     alg = build(4)
     x = alg.a(1, 4) + alg.a(1, 3) + alg.a(2, 4)
@@ -284,6 +286,12 @@ def test_map_factors_and_apply_do_not_copy_the_running_sum(monkeypatch):
     assert len(te.terms) >= 700 and len(e.terms) > 1
     delta = delta_spec(alg)
     want = delta.apply(e)
+    U2 = build(2, True)
+    u = (U2.a(1, 1) + U2.a(1, 2) + U2.a(2, 2) ** -1) ** 4
+    assert len(u.terms) >= 10
+    # built before the count, as are the cached Δ and S specs they use
+    want_conv, want_du = _convolve(antipode, _identity, u), named_derivations(U2)["D12"].apply(u)
+    assert want_conv == U2.one().scale(counit(u))
     calls = []
     add = Element.__add__
 
@@ -294,9 +302,13 @@ def test_map_factors_and_apply_do_not_copy_the_running_sum(monkeypatch):
     monkeypatch.setattr(Element, "__add__", counted)
     mapped = te.map_factors(lambda y: y, lambda y: y)
     image = delta.apply(e)
+    conv = _convolve(antipode, _identity, u)
+    # a fresh spec, so that its power cache is built inside the count too
+    du = named_derivations(U2)["D12"].apply(u)
     assert len(calls) == 0
     monkeypatch.undo()
     assert mapped == te and image == want
+    assert conv == want_conv and du == want_du
 
 
 def test_apply_drops_a_term_with_a_zero_image_power(monkeypatch):

@@ -113,6 +113,9 @@ CONTROL_LINES_N2 = [
     "lhs = q*a[2,2]^-1 (x) a[2,2]^-1, rhs = q^2*a[2,2]^-1 (x) a[2,2]^-1",
     "commutation-lemmas[n=2]: FAIL at a[1,1]b[1,2] = q^2 b[1,2]a[1,1]: "
     "lhs = - q*a[1,1]*a[1,2], rhs = - q^2*a[1,1]*a[1,2]",
+    "s-squared[n=2]: FAIL at S^2 on a[1,2]: lhs = q^2*a[1,2], rhs = a[1,2]",
+    "morphism-symmetries[n=2]: FAIL at T (s(x)s)D = Ds on a[1,1]: "
+    "lhs = q^2*a[1,1] (x) a[1,1], rhs = q*a[1,1] (x) a[1,1]",
 ]
 
 CONTROL_LABELS = [
@@ -121,6 +124,8 @@ CONTROL_LABELS = [
     "B is a point",
     "D(*) = (*(x)*)D on a[1,1]",
     "a[1,1]b[1,2] = q^2 b[1,2]a[1,1]",
+    "S^2 on a[1,2]",
+    "T (s(x)s)D = Ds on a[1,1]",
 ]
 
 
@@ -132,7 +137,7 @@ def test_negative_control_witnesses_are_pinned():
 
 def test_negative_controls_all_fail():
     reports = negative_controls(2)
-    assert len(reports) == 5
+    assert len(reports) == 7
     for rep in reports:
         assert not rep.passed
         assert rep.witness
