@@ -383,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--n", type=int, default=2, help="matrix size (default 2)")
     top.add_argument("--localized", action="store_true", help="invert the diagonal generators")
     top.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
-    top.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    top.add_argument("--seed", type=int, default=0, help="ignored: no suite samples; kept for compatibility")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="normal form of an expression")

@@ -38,8 +38,17 @@ from qtriangular.structure import (
     check_star,
     negative_controls,
 )
-from qtriangular.triangular import antipode_spec, b_element, b_recurrence, build, counit, star, antipode
-from qtriangular.coeff import GaussianRational
+from qtriangular.triangular import (
+    antipode,
+    antipode_spec,
+    b_element,
+    b_recurrence,
+    build,
+    coproduct,
+    counit,
+    star,
+)
+from qtriangular.coeff import GaussianRational, I, ScalarQ
 
 
 @contextmanager
@@ -159,12 +168,22 @@ def test_criterion_10_hopf_subgroup():
 
 
 def test_criterion_11_star_structure():
-    with criterion(11, "Hopf *-structure, 200 random elements", 10):
-        # six random samples per seed: 20 * 6 + 14 * 6 = 204 elements
+    with criterion(11, "Hopf *-structure, 204 random elements", 10):
+        ci = ScalarQ({1: I})
+        # six (e, f) pairs per seed: 20 * 6 + 14 * 6 = 204 elements e
         for n, seeds in ((2, 20), (3, 14)):
+            ut = build(n, True)
             for s in range(seeds):
-                rep = check_star(n, seed=s)
-                assert rep.passed, rep.line()
+                rng = random.Random(s)
+                for _ in range(6):
+                    e, f = random_element(ut, rng), random_element(ut, rng)
+                    assert star(star(e)) == e
+                    assert star(e * f) == star(f) * star(e)
+                    assert star(e.scale(ci)) == star(e).scale(ci.conjugate())
+                    assert star(antipode(star(antipode(e)))) == e
+                    assert coproduct(star(e)) == coproduct(e).map_factors(star, star)
+            rep = check_star(n)
+            assert rep.passed, rep.line()
 
 
 def test_criterion_12_negative_controls():

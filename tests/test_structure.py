@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from qtriangular.coeff import qpow
 from qtriangular.qalgebra import MorphismSpec, TensorElement
 from qtriangular.structure import (
     CheckReport,
@@ -8,11 +11,14 @@ from qtriangular.structure import (
     _m_bb,
     _m_diag,
     _m_offdiag,
+    _run,
+    _star_lines,
+    _with_image,
     check_bialgebra,
     negative_controls,
     negative_controls_report,
 )
-from qtriangular.triangular import TriangularAlgebra, build, delta_spec
+from qtriangular.triangular import TriangularAlgebra, build, delta_spec, star_spec
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -92,6 +98,35 @@ def test_mutated_star_fails_at_a11(n):
     rep = _control("star", n)
     assert not rep.passed
     assert rep.witness[0] == "D(*) = (*(x)*)D on a[1,1]"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_star_mutants_fail_at_pinned_lines(n):
+    ut = build(n, True)
+    spec = star_spec(ut)
+    a11, a12 = ut.gen_index(1, 1), ut.gen_index(1, 2)
+    mutants = {
+        # these two pass every generator line, since the generators' images
+        # have real coefficients: only the kind lines catch them
+        "* is antilinear": MorphismSpec(ut, spec.images, antimorphism=True, check=False),
+        "* is an antimorphism": MorphismSpec(ut, spec.images, antilinear=True, check=False),
+        "D(*) = (*(x)*)D on a[1,2]": _with_image(spec, a12, spec.images[a12] + spec.images[a11]),
+        "** = id on a[1,2]": _with_image(spec, a12, spec.images[a12].scale(qpow(1))),
+    }
+    for label, mutant in mutants.items():
+        rep = _run("star", n, _star_lines(ut, mutant))
+        assert not rep.passed
+        assert rep.witness[0] == label
+
+
+def test_no_suite_draws_random_numbers(monkeypatch):
+    def no_random(*args, **kwargs):
+        raise AssertionError("a suite drew random numbers")
+
+    monkeypatch.setattr(random, "Random", no_random)
+    for name, fn in SUITES.items():
+        assert fn(3).passed, name
+    assert all(not rep.passed for rep in negative_controls(3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
