@@ -37,7 +37,7 @@ from .triangular import (
 )
 from . import structure
 from .autos import Sextuple, g_compose, g_decompose, g_inverse, is_hopf_auto, rho_conjugate
-from .deriv import classify_T2, dertypes_expected, utq2_derivation_table
+from .deriv import classify_T2, utq2_derivation_table
 
 
 class ParseError(ValueError):
@@ -314,13 +314,14 @@ def _cmd_check(args) -> int:
         else structure.SUITES[name](args.n, seed=args.seed)
         for name in names
     ]
-    for rep in reports:
-        print(rep.line())
     if args.json:
         print(json.dumps([
             {"name": r.name, "n": r.n, "passed": r.passed, "witness": r.witness}
             for r in reports
         ]))
+    else:
+        for rep in reports:
+            print(rep.line())
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -336,12 +337,13 @@ def _cmd_derivations(args) -> int:
             for st, nu, verdict in rows:
                 word = "derivation" if verdict else "not a derivation"
                 print(f"D[{st[0]},{st[1]}] nu={nu}: {word}")
-        bad = [r for r in rows if r[2] != dertypes_expected(r[0], r[1])]
-        return 0 if not bad else 1
+        # classify_T2 raises on any verdict against dertypes_expected
+        return 0
     rep = utq2_derivation_table()
-    print(rep.line())
     if args.json:
         print(json.dumps({"name": rep.name, "passed": rep.passed, "witness": rep.witness}))
+    else:
+        print(rep.line())
     return 0 if rep.passed else 1
 
 

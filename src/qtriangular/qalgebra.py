@@ -103,7 +103,7 @@ class QAlgebra(_Presentation):
         or None when the presentation has none (as here).  A presentation
         with a grading also has ``degree_form(d1, d2)``, the integer B with
         x^alpha x^beta = q^B x^beta x^alpha whenever alpha and beta have
-        degrees d1 and d2; ``is_point`` uses it to skip products."""
+        degrees d1 and d2; ``q_relation`` uses it to skip products."""
         return None
 
     def monomial_mul(self, alpha, beta):
@@ -425,6 +425,24 @@ def homogeneous_degree(e: Element):
     return degrees.pop() if len(degrees) == 1 else None
 
 
+def q_relation(y: Element, z: Element, m: int, dy, dz):
+    """The two sides of the relation y*z = q^m * z*y, as a pair that is
+    equal exactly when the relation holds.
+
+    ``dy`` and ``dz`` are the degrees of y and z (``homogeneous_degree``),
+    or None.  When both are known, y and z are nonzero and homogeneous in a
+    graded algebra, so y*z = q^B * z*y with B = ``degree_form(dy, dz)``,
+    since q-commutation of monomials depends on their degrees alone.  That
+    algebra is q-commutative over the domain Q(i)[q, q^-1], hence a domain,
+    so z*y != 0 and the relation holds exactly when B == m: the pair is then
+    (True, True).  Otherwise the pair is the products (y*z, q^m * z*y), so a
+    relation the degrees reject is witnessed by two products that differ.
+    """
+    if dy is not None and dz is not None and y.algebra.degree_form(dy, dz) == m:
+        return True, True
+    return y * z, (z * y).scale(qpow(m))
+
+
 def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     """Whether a tuple of images (one per generator) satisfies the defining
     relations of ``algebra`` in its target, i.e. encodes an algebra morphism.
@@ -436,14 +454,10 @@ def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     there).  ``delta_spec`` builds the comultiplication without this check,
     which the bialgebra suite runs instead, once per size.
 
-    Each relation y*z = q^m * z*y is decided by degree first.  If y and z
-    are nonzero and homogeneous of degrees d and e in a graded target, then
-    y*z = q^B * z*y with B = ``degree_form(d, e)``, since q-commutation of
-    monomials depends on their degrees alone.  The target is a q-commutative
-    algebra over the domain Q(i)[q, q^-1], hence a domain, so z*y != 0 and
-    the relation holds exactly when B == m.  A pair with a zero or
-    inhomogeneous image (such as a coproduct image), or in a target without
-    a grading (such as ``SCALARS``), is decided by expanding both products.
+    Each relation is decided by ``q_relation``: by degree between nonzero
+    homogeneous images, and by products for a zero or inhomogeneous image
+    (such as a coproduct image) or in a target without a grading (such as
+    ``SCALARS``).
     """
     images = list(images)
     if len(images) != algebra.ngens:
@@ -456,14 +470,9 @@ def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     for a in range(algebra.ngens):
         if algebra.invertible[a] and not images[a].is_unit:
             return False
-        da = degrees[a]
         for b in range(a):
-            m = sign * algebra.M[a][b]
-            db = degrees[b]
-            if da is not None and db is not None:
-                if target.degree_form(da, db) != m:
-                    return False
-            elif images[a] * images[b] != (images[b] * images[a]).scale(qpow(m)):
+            lhs, rhs = q_relation(images[a], images[b], sign * algebra.M[a][b], degrees[a], degrees[b])
+            if lhs != rhs:
                 return False
     return True
 

@@ -27,6 +27,7 @@ from .qalgebra import (
     TensorElement,
     homogeneous_degree,
     is_point,
+    q_relation,
     tensor_square,
 )
 from .triangular import (
@@ -229,89 +230,59 @@ def _m_bb(k, l, i, j):
     return 0
 
 
-def _q_ratio(x, y):
-    """The c with x = q^c * y, checked term by term, or None if there is
-    none or y is zero."""
-    if x is y:
-        return 0
-    if not y.terms or x.terms.keys() != y.terms.keys():
-        return None
-    c = None
-    for mono, cy in y.terms.items():
-        cx = x.terms[mono]
-        if c is None:
-            c = min(cx.terms) - min(cy.terms)
-        if cx != cy.q_shift(c):
-            return None
-    return c
-
-
-def _lemma_line(label, y, zt, z, yt, m):
-    """The line y*zt = q^m * z*yt of a commutation lemma, where yt and zt
-    are y and z or their twists by σ.
-
-    Decided by degree when it can be: σ scales each monomial by a q-power,
-    so if zt = q^c * z and yt = q^d * y term by term, and y, z are nonzero
-    and homogeneous, then y*zt = q^(c + B) * z*y with B the degree form, and
-    q^m * z*yt = q^(m + d) * z*y.  The algebra is a domain, so z*y != 0 and
-    the line holds exactly when c + B == m + d; it is then reported as the
-    equal pair (True, True).  A line this cannot decide, or decides false,
-    is built from the products, so its witness is the products' text.
-    """
-    c, d = _q_ratio(zt, z), _q_ratio(yt, y)
-    dy, dz = homogeneous_degree(y), homogeneous_degree(z)
-    if None not in (c, d, dy, dz) and c + y.algebra.degree_form(dy, dz) == m + d:
-        return label, True, True
-    return label, y * zt, (z * yt).scale(qpow(m))
-
-
 def _lemma_lines(t: TriangularAlgebra, m_diag, m_offdiag, m_bb):
     """The four commutation tables between generators, determinant factors
     and the b elements of the plain algebra t, with the exponents read from
-    the tables ``m_diag``, ``m_offdiag`` and ``m_bb`` under test."""
-    n = t.n
+    the tables ``m_diag``, ``m_offdiag`` and ``m_bb`` under test.
+
+    The σ lines come first: σ scales a[k,l] and b[k,l] alike by
+    q^(2(k-l)).  So a table line y*s(z) = q^m * z*s(y), with σ on one side,
+    both or neither, is the plain relation y*z = q^(m + d - c) * z*y, where
+    c and d are the twists of z and y (0 on a side without σ).
+    """
     sig = sigma_spec(t).apply
+    a = {p: t.a(*p) for p in t.gen_pairs}
+    b = _b_table(t)
+    for (k, l) in t.gen_pairs:
+        e = 2 * (k - l)
+        yield f"s(a[{k},{l}]) = q^{e} a[{k},{l}]", sig(a[k, l]), a[k, l].scale(qpow(e))
+        yield f"s(b[{k},{l}]) = q^{e} b[{k},{l}]", sig(b[k, l]), b[k, l].scale(qpow(e))
+
+    # (element, degree) for every a[k,l] and b[k,l]
+    A = {p: (x, homogeneous_degree(x)) for p, x in a.items()}
+    B = {p: (x, homogeneous_degree(x)) for p, x in b.items()}
+
+    def line(label, y, z, m):
+        return label, *q_relation(y[0], z[0], m, y[1], z[1])
+
     offdiag = [(i, j) for (i, j) in t.gen_pairs if i < j]
-    bvals = {(i, j): b_element(i, j, t) for (i, j) in offdiag}
-    sbvals = {key: sig(val) for key, val in bvals.items()}
-
-    for k in range(1, n + 1):
-        akk = t.a(k, k)
-        bkk = b_element(k, k, t)
+    for k in range(1, t.n + 1):
         for (i, j) in offdiag:
-            m = m_diag(k, i, j)
-            b = bvals[i, j]
-            yield _lemma_line(f"a[{k},{k}]b[{i},{j}] = q^{m} b[{i},{j}]a[{k},{k}]", akk, b, b, akk, m)
-            yield _lemma_line(
-                f"b[{k},{k}]s(b[{i},{j}]) = q^{-m} b[{i},{j}]b[{k},{k}]", bkk, sbvals[i, j], b, bkk, -m
-            )
-
+            m, c = m_diag(k, i, j), 2 * (i - j)
+            yield line(f"a[{k},{k}]b[{i},{j}] = q^{m} b[{i},{j}]a[{k},{k}]", A[k, k], B[i, j], m)
+            yield line(f"b[{k},{k}]s(b[{i},{j}]) = q^{-m} b[{i},{j}]b[{k},{k}]", B[k, k], B[i, j], -m - c)
     for (k, l) in offdiag:
-        akl = t.a(k, l)
-        sakl = sig(akl)
+        d = 2 * (k - l)
         for (i, j) in offdiag:
-            b = bvals[i, j]
-            m = m_offdiag(k, l, i, j)
-            yield _lemma_line(f"a[{k},{l}]b[{i},{j}] = q^{m} b[{i},{j}]s(a[{k},{l}])", akl, b, b, sakl, m)
+            m, c = m_offdiag(k, l, i, j), 2 * (i - j)
+            yield line(f"a[{k},{l}]b[{i},{j}] = q^{m} b[{i},{j}]s(a[{k},{l}])", A[k, l], B[i, j], m + d)
             m = m_bb(k, l, i, j)
-            yield _lemma_line(
-                f"b[{k},{l}]s(b[{i},{j}]) = q^{-m} b[{i},{j}]s(b[{k},{l}])",
-                bvals[k, l], sbvals[i, j], b, sbvals[k, l], -m,
-            )
+            yield line(f"b[{k},{l}]s(b[{i},{j}]) = q^{-m} b[{i},{j}]s(b[{k},{l}])", B[k, l], B[i, j], -m + d - c)
 
 
 def check_commutation_lemmas(n: int, seed: int = 0) -> CheckReport:
     """The four commutation tables between generators, determinant factors,
     and the b elements, over every admissible index combination.
 
-    Every line is y*zt = q^m * z*yt with y, z homogeneous for the torus
-    grading (``TriangularAlgebra.degree``: a[i,j] has degree (e_i, e_j),
-    b[i,j] has (1 - e_j, 1 - e_i)) and yt, zt equal to y, z or their σ
-    twists.  So each line is proved by one evaluation of the degree form
-    plus a termwise check that the twist is a q-power multiple, with no
-    product; since the algebra is a domain, a line whose degrees disagree
-    is false, and it is then rebuilt from the products for its witness
-    (see ``_lemma_line``).  The tables are exhaustive.
+    The suite first proves that σ scales every a[k,l] and b[k,l] by
+    q^(2(k-l)), so each table line y*s(z) = q^m * z*s(y) is a plain
+    relation y*z = q^m' * z*y (see ``_lemma_lines``).  Every y and z is
+    homogeneous for the torus grading (``TriangularAlgebra.degree``:
+    a[i,j] has degree (e_i, e_j), b[i,j] has (1 - e_j, 1 - e_i)), so
+    ``q_relation`` proves each line by one evaluation of the degree form,
+    with no product, from a table of the 2N degrees; a line the degrees
+    reject is witnessed by its products y*z and q^m' * z*y.  The tables are
+    exhaustive.
     """
     return _run("commutation-lemmas", n, _lemma_lines(build(n, False), _m_diag, _m_offdiag, _m_bb))
 
@@ -430,8 +401,8 @@ def negative_controls(n: int = 2) -> list:
     b[1,2] changes sign; B's images of a[1,1] and a[1,2] swap; `*` scales
     its image of a[1,1] by q, which still satisfies the relations, so only
     the suite itself can catch it; the commutation table ``_m_diag`` is off
-    by one at k = 1, (i, j) = (1, 2), the suite's first line, which the
-    degree certificate rejects and the products then witness; S scales its
+    by one at k = 1, (i, j) = (1, 2), the suite's first table line, which
+    the degrees reject and the products then witness; S scales its
     image of a[1,2] by q, so S^2(a[1,2]) = q^2 a[1,2] at the suite's second
     line; and σ scales its image of a[1,1] by q, which D sees at once.
     """

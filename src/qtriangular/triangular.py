@@ -89,13 +89,12 @@ class TriangularAlgebra(QAlgebra):
             B = sum R1_i R2_k sgn(i - k) + sum C1_j C2_l sgn(l - j),
 
         which ``degree_form`` computes.  Homogeneous y, z of degrees d, e
-        therefore satisfy y*z = q^B(d, e) * z*y.  The algebra is a domain
-        (q-commutative over the domain Q(i)[q, q^-1]), so for nonzero y, z
-        a relation y*z = q^m * z*y holds exactly when B(d, e) == m.
-        ``is_point`` and the commutation-lemma lines decide by this, and
-        expand the products only for a zero or inhomogeneous element.
-        Every b[i,j], t and image of S and ``*`` is homogeneous; coproduct
-        images and point-product's AB are not.
+        therefore satisfy y*z = q^B(d, e) * z*y; ``q_relation`` decides a
+        relation y*z = q^m * z*y by this, for ``is_point`` and every
+        commutation-lemma line.  Every b[i,j], t and image of S and ``*``
+        is homogeneous; coproduct images and point-product's AB are not.
+        σ scales a monomial of degree (R, C) by q^(2(sum_i i R_i - sum_j
+        j C_j)), so a[k,l] and b[k,l] alike by q^(2(k - l)).
         """
         rows = [0] * self.n
         cols = [0] * self.n

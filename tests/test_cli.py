@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qtriangular
-from qtriangular import cli, structure
+from qtriangular import cli, deriv, structure
 
 from helpers import random_sextuple, random_unit
 
@@ -176,6 +176,22 @@ def test_cli_derivations(capsys):
     assert {"s": 1, "t": 2, "nu": [0, 1, 0], "verdict": True} in rows
     assert main(["derivations", "check-table"]) == 0
     assert "derivation-table[n=2]: PASS" in capsys.readouterr().out
+
+
+def test_json_output_is_one_document(capsys):
+    assert main(["--n", "3", "--json", "check", "all"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in reports] == [*structure.SUITES, "negative-controls"]
+    assert all(r["passed"] and r["n"] == 3 and r["witness"] is None for r in reports)
+    assert main(["--json", "derivations", "check-table"]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert table == {"name": "derivation-table", "passed": True, "witness": None}
+
+
+def test_classify_disagreement_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(deriv, "dertypes_expected", lambda st, nu: False)
+    assert main(["derivations", "classify", "--bound", "1"]) == 2
+    assert "disagrees with the predicate" in capsys.readouterr().err
 
 
 def test_cli_autos(capsys):

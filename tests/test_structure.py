@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qtriangular import structure
 from qtriangular.coeff import qpow
 from qtriangular.qalgebra import MorphismSpec, TensorElement
 from qtriangular.structure import (
@@ -15,10 +16,11 @@ from qtriangular.structure import (
     _star_lines,
     _with_image,
     check_bialgebra,
+    check_commutation_lemmas,
     negative_controls,
     negative_controls_report,
 )
-from qtriangular.triangular import TriangularAlgebra, build, delta_spec, star_spec
+from qtriangular.triangular import TriangularAlgebra, build, delta_spec, sigma_spec, star_spec
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -138,6 +140,32 @@ def test_mutated_lemma_table_fails_alike_by_degree_and_by_products(n, monkeypatc
     assert not by_degree.passed
     assert by_degree.witness[0] == "a[1,1]b[1,2] = q^2 b[1,2]a[1,1]"
     assert by_degree.line() == by_products.line()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sigma_mutant_fails_the_lemma_suite_at_its_twist_line(n, monkeypatch):
+    # every table line relies on the σ lines, so a σ that scales a[1,2]
+    # wrongly must fail before any table line
+    spec = sigma_spec(build(n))
+    a12 = spec.source.gen_index(1, 2)
+    mutant = _with_image(spec, a12, spec.images[a12].scale(qpow(1)))
+    monkeypatch.setattr(structure, "sigma_spec", lambda alg: mutant)
+    rep = check_commutation_lemmas(n)
+    assert not rep.passed
+    assert rep.witness[0] == "s(a[1,2]) = q^-2 a[1,2]"
+
+
+def test_lemma_suite_computes_each_degree_once(monkeypatch):
+    calls = []
+    degree = structure.homogeneous_degree
+
+    def counted(e):
+        calls.append(e)
+        return degree(e)
+
+    monkeypatch.setattr(structure, "homogeneous_degree", counted)
+    assert check_commutation_lemmas(8).passed
+    assert len(calls) == 2 * 8 * 9 // 2
 
 
 CONTROL_LINES_N2 = [
