@@ -31,10 +31,14 @@ class _Leibniz(tuple):
     __slots__ = ()
 
     def __mul__(self, other):
+        return _Leibniz((self[0] * other[0], self.d_mul(other)))
+
+    def d_mul(self, other):
+        """Da b + a Db, the second half of the product with other = (b, Db)."""
         (a, da), (b, db) = self, other
         d = da * b
         _add_into(d.terms, (a * db).terms)
-        return _Leibniz((a * b, d))
+        return d
 
     def inverse(self):
         x = self[0].inverse()
@@ -60,8 +64,10 @@ class DerivationSpec(MorphismSpec):
         if self.target is not algebra:
             raise ValueError("derivation images must live in the same algebra")
         self.algebra = algebra
-        self._unit = _Leibniz((algebra.one(), algebra.zero()))
-        self._powers = {(g, 1): _Leibniz((algebra.gen(g), img)) for g, img in enumerate(self.images)}
+
+    def _seed(self):
+        one, gen = _Leibniz((self.source.one(), self.source.zero())), self.source.gen
+        return one, {(g, 1): _Leibniz((gen(g), img)) for g, img in enumerate(self.images)}
 
     # MorphismSpec's loop under its own name, so that ``perfbench/layers.py``
     # can time derivations apart from morphisms
@@ -100,8 +106,7 @@ def is_derivation(spec: DerivationSpec) -> bool:
     alg, pairs = spec.algebra, spec._powers
     for a in range(alg.ngens):
         for b in range(a):
-            ab, ba = pairs[a, 1] * pairs[b, 1], pairs[b, 1] * pairs[a, 1]
-            if ab[1] != ba[1].scale(qpow(alg.M[a][b])):
+            if pairs[a, 1].d_mul(pairs[b, 1]) != pairs[b, 1].d_mul(pairs[a, 1]).scale(qpow(alg.M[a][b])):
                 return False
     return True
 

@@ -417,28 +417,28 @@ class TensorElement(Element):
             yield neg, f"{ltxt} (x) {sq.right.mono_text(mv) or '1'}"
 
 
-def homogeneous_degree(e: Element):
-    """The degree shared by every term of e, or None when e is zero, is not
-    homogeneous, or lives in a presentation without a grading."""
-    degree = e.algebra.degree
-    degrees = {degree(mono) for mono in e.terms}
-    return degrees.pop() if len(degrees) == 1 else None
+def term_degrees(e: Element):
+    """The frozenset of the degrees of e's terms, empty for zero, or None
+    when the presentation has no grading (``degree`` gives None)."""
+    degrees = frozenset(map(e.algebra.degree, e.terms))
+    return None if None in degrees else degrees
 
 
 def q_relation(y: Element, z: Element, m: int, dy, dz):
     """The two sides of the relation y*z = q^m * z*y, as a pair that is
     equal exactly when the relation holds.
 
-    ``dy`` and ``dz`` are the degrees of y and z (``homogeneous_degree``),
-    or None.  When both are known, y and z are nonzero and homogeneous in a
-    graded algebra, so y*z = q^B * z*y with B = ``degree_form(dy, dz)``,
-    since q-commutation of monomials depends on their degrees alone.  That
-    algebra is q-commutative over the domain Q(i)[q, q^-1], hence a domain,
-    so z*y != 0 and the relation holds exactly when B == m: the pair is then
-    (True, True).  Otherwise the pair is the products (y*z, q^m * z*y), so a
-    relation the degrees reject is witnessed by two products that differ.
+    ``dy`` and ``dz`` are the term degrees of y and z (``term_degrees``),
+    or None.  Write y and z as sums of terms y_k and z_l.  Monomials
+    q-commute by their degrees alone, so a term pair of degrees a and b
+    has y_k z_l = q^B z_l y_k with B = ``degree_form(a, b)``.  When
+    B == m for every pair, summing over the pairs gives y*z = q^m * z*y, and
+    the pair is (True, True); a zero side has no terms, and 0 = q^m * 0.
+    Otherwise the pair is the products (y*z, q^m * z*y), which decide the
+    relation exactly, even one that holds only by cancellation, so a
+    relation that fails is witnessed by two products that differ.
     """
-    if dy is not None and dz is not None and y.algebra.degree_form(dy, dz) == m:
+    if dy is not None and dz is not None and all(y.algebra.degree_form(a, b) == m for a in dy for b in dz):
         return True, True
     return y * z, (z * y).scale(qpow(m))
 
@@ -454,10 +454,9 @@ def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     there).  ``delta_spec`` builds the comultiplication without this check,
     which the bialgebra suite runs instead, once per size.
 
-    Each relation is decided by ``q_relation``: by degree between nonzero
-    homogeneous images, and by products for a zero or inhomogeneous image
-    (such as a coproduct image) or in a target without a grading (such as
-    ``SCALARS``).
+    Each relation is decided by ``q_relation``: by the degrees of the
+    images' term pairs, and by products only for a relation the degrees
+    reject or in a target without a grading (such as ``SCALARS``).
     """
     images = list(images)
     if len(images) != algebra.ngens:
@@ -466,7 +465,7 @@ def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     # degrees only within one target; a stray image takes the product path,
     # which rejects mixed algebras
     target = images[0].algebra if images else None
-    degrees = [homogeneous_degree(img) if img.algebra is target else None for img in images]
+    degrees = [term_degrees(img) if img.algebra is target else None for img in images]
     for a in range(algebra.ngens):
         if algebra.invertible[a] and not images[a].is_unit:
             return False
@@ -483,10 +482,11 @@ class MorphismSpec:
 
     The images must pass the point check (reversed relations for an
     antimorphism), which is verified at construction unless ``check=False``.
-    ``apply`` folds cached image powers, seeded by the images as the k = 1
-    powers and by ``_unit`` as every k = 0 power; it asks of them only a
-    product, ``scale``, ``inverse``, truth and ``terms``, so a derivation
-    folds its Leibniz pairs through the same loop (see ``deriv``).
+    ``apply`` folds cached image powers, which ``_seed`` starts with the
+    images as the k = 1 powers and ``_unit`` as every k = 0 power; it asks of
+    them only a product, ``scale``, ``inverse``, truth and ``terms``, so a
+    derivation seeds Leibniz pairs and folds them through the same loop
+    (see ``deriv``).
     """
 
     __slots__ = ("source", "target", "images", "antimorphism", "antilinear", "_unit", "_powers")
@@ -504,17 +504,13 @@ class MorphismSpec:
         self.images = images
         self.antimorphism = bool(antimorphism)
         self.antilinear = bool(antilinear)
-        self._unit = target.one()
-        self._powers = {(g, 1): img for g, img in enumerate(images)}
-        if check:
-            for g in range(source.ngens):
-                if source.invertible[g] and not images[g].is_unit:
-                    raise ValueError(
-                        f"image of invertible generator {source.gen_names[g]} is not a unit"
-                    )
-            if not is_point(images, source, opposite=self.antimorphism):
-                kind = "antimorphism" if self.antimorphism else "morphism"
-                raise ValueError(f"images do not satisfy the relations required of a {kind}")
+        self._unit, self._powers = self._seed()
+        if check and not is_point(images, source, opposite=self.antimorphism):
+            kind = "antimorphism" if self.antimorphism else "morphism"
+            raise ValueError(f"images do not satisfy the relations and unit conditions of a {kind}")
+
+    def _seed(self):
+        return self.target.one(), {(g, 1): img for g, img in enumerate(self.images)}
 
     def _image_power(self, g: int, k: int) -> Element:
         cached = self._powers.get((g, k))

@@ -25,10 +25,10 @@ from .qalgebra import (
     SCALARS,
     MorphismSpec,
     TensorElement,
-    homogeneous_degree,
     is_point,
     q_relation,
     tensor_square,
+    term_degrees,
 )
 from .triangular import (
     TriangularAlgebra,
@@ -249,8 +249,8 @@ def _lemma_lines(t: TriangularAlgebra, m_diag, m_offdiag, m_bb):
         yield f"s(b[{k},{l}]) = q^{e} b[{k},{l}]", sig(b[k, l]), b[k, l].scale(qpow(e))
 
     # (element, degree) for every a[k,l] and b[k,l]
-    A = {p: (x, homogeneous_degree(x)) for p, x in a.items()}
-    B = {p: (x, homogeneous_degree(x)) for p, x in b.items()}
+    A = {p: (x, term_degrees(x)) for p, x in a.items()}
+    B = {p: (x, term_degrees(x)) for p, x in b.items()}
 
     def line(label, y, z, m):
         return label, *q_relation(y[0], z[0], m, y[1], z[1])
@@ -341,7 +341,7 @@ def _star_lines(alg: TriangularAlgebra, st: MorphismSpec):
         yield f"** = id on {label}", st(se), e
         yield f"e* = conj.e on {label}", counit(se), counit(e).conjugate()
         yield f"(*S)^2 = id on {label}", st(antipode(st(antipode(e)))), e
-    # every image of * is homogeneous, so this point check is decided by degree
+    # every term pair of *'s images has the right degree form: no product
     yield "* is an antimorphism", st.antimorphism and is_point(st.images, alg, opposite=True), True
     yield "* is antilinear", st(alg.scalar(I)), alg.scalar(I.conjugate())
 

@@ -88,13 +88,11 @@ class TriangularAlgebra(QAlgebra):
             x^alpha x^beta = q^B x^beta x^alpha,
             B = sum R1_i R2_k sgn(i - k) + sum C1_j C2_l sgn(l - j),
 
-        which ``degree_form`` computes.  Homogeneous y, z of degrees d, e
-        therefore satisfy y*z = q^B(d, e) * z*y; ``q_relation`` decides a
-        relation y*z = q^m * z*y by this, for ``is_point`` and every
-        commutation-lemma line.  Every b[i,j], t and image of S and ``*``
-        is homogeneous; coproduct images and point-product's AB are not.
-        σ scales a monomial of degree (R, C) by q^(2(sum_i i R_i - sum_j
-        j C_j)), so a[k,l] and b[k,l] alike by q^(2(k - l)).
+        which ``degree_form`` computes.  ``q_relation`` decides a relation
+        y*z = q^m * z*y by it, term pair by term pair, for ``is_point`` and
+        every commutation-lemma line.  σ scales a monomial of degree (R, C)
+        by q^(2(sum_i i R_i - sum_j j C_j)), so a[k,l] and b[k,l] alike by
+        q^(2(k - l)).
         """
         rows = [0] * self.n
         cols = [0] * self.n
@@ -152,9 +150,10 @@ def delta_spec(alg: TriangularAlgebra) -> MorphismSpec:
 
     Its monomials are (u, v) pairs, as the CLI and the benchmark read them
     (see ``TensorSquare``).  No point check runs here: the bialgebra suite's
-    "comultiplication is a morphism" line proves it, and running it on
-    every construction too would cost about 0.12 s per algebra at n = 7
-    (2-core Xeon, Python 3.11).
+    "comultiplication is a morphism" line proves it.  Building Δ takes
+    2-17 ms, while its point check takes 0.03 s at n = 7, 0.23 s at n = 10
+    and 2.3 s at n = 14 (2-core Xeon, Python 3.11), so running it on every
+    construction would make each CLI command on Δ pay seconds at large n.
     """
     sq = tensor_square(alg, alg)
     images = [

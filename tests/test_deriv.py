@@ -20,8 +20,24 @@ from qtriangular.deriv import (
     _weight,
 )
 from qtriangular.coeff import ScalarQ
-from qtriangular.qalgebra import random_element
+from qtriangular.qalgebra import Element, random_element
 from qtriangular.triangular import build, qdet
+
+
+def test_is_derivation_builds_only_second_halves(monkeypatch):
+    # each of the 3 relations builds Da b + a Db in both orders, 2 products
+    # each, and no product g_a g_b of the generators themselves
+    spec = named_derivations(build(2))["D11"]
+    calls = []
+    mul = Element.__mul__
+
+    def counted(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    assert is_derivation(spec)
+    assert len(calls) == 12
 
 
 def test_is_derivation_examples():

@@ -1,9 +1,11 @@
 """The torus grading and the degree certificates built on it.
 
-``is_point`` and the commutation-lemma lines decide q-commutation of
-homogeneous elements by their degrees instead of by products.  These tests
-hold the certificate to a product-only oracle kept here, check the degree
-form against ``monomial_mul``, and count the products it saves.
+``q_relation`` decides every q-commutation relation of ``is_point`` and the
+commutation-lemma lines by the degrees of its sides' term pairs, and builds
+products only for a relation the degrees reject or in a presentation without
+a grading.  These tests hold the certificate to a product-only oracle kept
+here, check the degree form against ``monomial_mul``, and count the products
+it saves.
 """
 
 import random
@@ -12,15 +14,22 @@ import pytest
 
 from qtriangular.coeff import qpow
 from qtriangular.qalgebra import (
+    SCALARS,
     Element,
     TensorElement,
-    homogeneous_degree,
     is_point,
+    q_relation,
     random_element,
     random_scalar,
     tensor_square,
+    term_degrees,
 )
-from qtriangular.structure import _factor_tuples, check_commutation_lemmas
+from qtriangular.structure import (
+    _factor_tuples,
+    check_bialgebra,
+    check_commutation_lemmas,
+    check_point_product,
+)
 from qtriangular.triangular import (
     antipode_spec,
     b_element,
@@ -78,13 +87,39 @@ def test_generators_and_b_elements_are_homogeneous(n):
         return tuple(int(k == i) for k in range(1, n + 1))
 
     for (i, j) in t.gen_pairs:
-        assert homogeneous_degree(t.a(i, j)) == (e(i), e(j))
+        assert term_degrees(t.a(i, j)) == frozenset({(e(i), e(j))})
         if i < j:
             want = tuple(map(int.__sub__, one, e(j))), tuple(map(int.__sub__, one, e(i)))
-            assert homogeneous_degree(b_element(i, j, t)) == want
-    assert homogeneous_degree(t.zero()) is None
-    assert homogeneous_degree(t.a(1, 1) + t.a(1, 2)) is None
-    assert homogeneous_degree(delta_spec(t).images[t.gen_index(1, 2)]) is None
+            assert term_degrees(b_element(i, j, t)) == frozenset({want})
+    assert term_degrees(t.zero()) == frozenset()
+    assert term_degrees(t.a(1, 1) + t.a(1, 2)) == frozenset({(e(1), e(1)), (e(1), e(2))})
+    # D(a[1,2]) = a[1,1] (x) a[1,2] + a[1,2] (x) a[2,2]
+    assert term_degrees(delta_spec(t).images[t.gen_index(1, 2)]) == frozenset(
+        {((e(1), e(1)), (e(1), e(2))), ((e(1), e(2)), (e(2), e(2)))}
+    )
+    assert term_degrees(SCALARS.one()) is None
+
+
+def test_q_relation_decides_cancellation_by_products():
+    # (a[1,1], a[1,2]) has degree form 1 != 0, so the degrees reject the
+    # relation y*y = y*y, and the products, which are equal, decide it
+    t = build(2)
+    (d11,), (d12,) = term_degrees(t.a(1, 1)), term_degrees(t.a(1, 2))
+    assert t.degree_form(d11, d12) == 1
+    y = t.a(1, 1) + t.a(1, 2)
+    lhs, rhs = q_relation(y, y, 0, term_degrees(y), term_degrees(y))
+    assert isinstance(lhs, Element)
+    assert lhs == rhs == y * y
+
+
+def test_q_relation_holds_between_zero_sides():
+    # 0 = q^m * 0, so no degree form is asked for; SCALARS has none
+    t = build(2)
+    for y, z in ((t.zero(), t.a(1, 2)), (t.a(1, 1), t.zero()), (t.zero(), t.zero())):
+        assert q_relation(y, z, 5, term_degrees(y), term_degrees(z)) == (True, True)
+    zero = SCALARS.zero()
+    assert term_degrees(zero) == frozenset()
+    assert q_relation(zero, zero, 5, term_degrees(zero), term_degrees(zero)) == (True, True)
 
 
 def _tuples(n, rng):
@@ -180,10 +215,13 @@ def test_certificates_multiply_no_two_multiterm_elements(monkeypatch):
             calls.append((len(self.terms), len(other.terms)))
         return mul(self, other)
 
+    # TensorElement binds Element's product under its own name, so both
+    # bindings are patched to see the products of tensors too
     monkeypatch.setattr(Element, "__mul__", counted)
+    monkeypatch.setattr(TensorElement, "__mul__", counted)
     fresh = antipode_spec.__wrapped__(ut)  # runs the point check again
-    rep = check_commutation_lemmas(6)
+    reps = [check_commutation_lemmas(6), check_bialgebra(6), check_point_product(6)]
     assert calls == []
     monkeypatch.undo()
     assert fresh.images == images
-    assert rep.passed
+    assert all(rep.passed for rep in reps)

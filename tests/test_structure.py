@@ -157,13 +157,13 @@ def test_sigma_mutant_fails_the_lemma_suite_at_its_twist_line(n, monkeypatch):
 
 def test_lemma_suite_computes_each_degree_once(monkeypatch):
     calls = []
-    degree = structure.homogeneous_degree
+    degree = structure.term_degrees
 
     def counted(e):
         calls.append(e)
         return degree(e)
 
-    monkeypatch.setattr(structure, "homogeneous_degree", counted)
+    monkeypatch.setattr(structure, "term_degrees", counted)
     assert check_commutation_lemmas(8).passed
     assert len(calls) == 2 * 8 * 9 // 2
 
