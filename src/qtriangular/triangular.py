@@ -17,6 +17,10 @@ from .coeff import ZERO, ScalarQ, qpow
 from .qalgebra import SCALARS, Element, MorphismSpec, QAlgebra, TensorElement, tensor_square
 
 
+def _sgn(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
 def comm_exponent(p, r, n: int) -> int:
     """The unique e with a_p * a_r = q^e * a_r * a_p: for p = (i, j) and
     r = (k, l), e = sgn(i - k) + sgn(l - j).
@@ -32,7 +36,7 @@ def comm_exponent(p, r, n: int) -> int:
             raise ValueError(f"({s},{t}) is not an upper-triangular index for n={n}")
     if p == r:
         raise ValueError("commutation exponent needs two distinct generators")
-    return (i > k) - (i < k) + (l > j) - (l < j)
+    return _sgn(i - k) + _sgn(l - j)
 
 
 def _sgn_form(x, y) -> int:
@@ -54,10 +58,7 @@ class TriangularAlgebra(QAlgebra):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
         names = [f"a[{i},{j}]" for i, j in pairs]
         inv = [localized and i == j for i, j in pairs]
-        M = [
-            [0 if p == r else comm_exponent(p, r, n) for r in pairs]
-            for p in pairs
-        ]
+        M = [[_sgn(i - k) + _sgn(l - j) for (k, l) in pairs] for (i, j) in pairs]
         super().__init__(names, inv, M)
         self.n = n
         self.localized = bool(localized)
@@ -253,7 +254,9 @@ def b_element(i: int, j: int, alg: TriangularAlgebra) -> Element:
     b[i,i] is the product of the other diagonal generators; for i < j it is
     the signed chain sum with coefficient (-1)^s q^(2(j-i)-s) over chains
     i = i_0 < ... < i_s = j, each multiplied by the complementary diagonal
-    product.
+    product.  So b[i,j] has degree (1 - e_j, 1 - e_i) for every n: a chain
+    fills rows i_0..i_(s-1) and columns i_1..i_s, and its diagonal factors
+    fill row and column k for each k off the chain.
     """
     if not (1 <= i <= j <= alg.n):
         raise ValueError(f"b[{i},{j}] is out of range for n={alg.n}")

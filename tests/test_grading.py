@@ -4,11 +4,14 @@
 commutation-lemma lines by the degrees of its sides' term pairs, and builds
 products only for a relation the degrees reject or in a presentation without
 a grading.  These tests hold the certificate to a product-only oracle kept
-here, check the degree form against ``monomial_mul``, and count the products
-it saves.
+here, check the degree form against ``monomial_mul``, count the products it
+saves, and check the n-free degree forms that prove the commutation tables
+for every n.
 """
 
 import random
+import re
+from itertools import product
 
 import pytest
 
@@ -26,11 +29,16 @@ from qtriangular.qalgebra import (
 )
 from qtriangular.structure import (
     _factor_tuples,
+    _lemma_lines,
+    _m_bb,
+    _m_diag,
+    _m_offdiag,
     check_bialgebra,
     check_commutation_lemmas,
     check_point_product,
 )
 from qtriangular.triangular import (
+    _sgn,
     antipode_spec,
     b_element,
     build,
@@ -98,6 +106,53 @@ def test_generators_and_b_elements_are_homogeneous(n):
         {((e(1), e(1)), (e(1), e(2))), ((e(1), e(2)), (e(2), e(2)))}
     )
     assert term_degrees(SCALARS.one()) is None
+
+
+def test_degree_forms_against_b_elements_do_not_depend_on_n():
+    # b[i,j] has degree (1 - e_j, 1 - e_i), so the sums over m of
+    # sgn(k - m) and sgn(m - l), which carry n, cancel in its degree forms;
+    # every generator pair at n = 2..8 (2,891 pairs)
+    count = 0
+    for n in range(2, 9):
+        t = build(n)
+        e = {i: tuple(int(m == i) for m in range(1, n + 1)) for i in range(1, n + 1)}
+        one = (1,) * n
+        a = {p: term_degrees(t.a(*p)) for p in t.gen_pairs}
+        b = {p: term_degrees(b_element(*p, t)) for p in t.gen_pairs}
+        for (i, j) in t.gen_pairs:
+            want = tuple(map(int.__sub__, one, e[j])), tuple(map(int.__sub__, one, e[i]))
+            assert b[i, j] == frozenset({want}), (n, i, j)
+        for (k, l), (i, j) in product(t.gen_pairs, repeat=2):
+            (da,), (dbkl,), (db,) = a[k, l], b[k, l], b[i, j]
+            assert t.degree_form(da, db) == 2 * (k - l) - _sgn(k - j) + _sgn(l - i)
+            assert t.degree_form(dbkl, db) == 2 * (k - l) - 2 * (i - j) + _sgn(l - j) - _sgn(k - i)
+            count += 1
+    assert count == 2891
+
+
+def _order_type(xs):
+    ranks = sorted(set(xs))
+    return tuple(ranks.index(x) for x in xs)
+
+
+def test_lemma_lines_at_n4_hold_every_order_type():
+    # once the σ twists are removed, a table line's truth depends only on
+    # the order type of (k, l, i, j); every a- and b-line kind must meet
+    # every order type with k <= l and i < j (k = l on the diagonal lines)
+    # at n = 4, so that the run there decides every n
+    index = re.compile(r"([ab])\[(\d+),(\d+)\](?:s\()?b\[(\d+),(\d+)\]")
+    seen = {"a": set(), "b": set()}
+    for label, lhs, rhs in _lemma_lines(build(4), _m_diag, _m_offdiag, _m_bb):
+        assert lhs == rhs, label
+        found = index.match(label)
+        if found:
+            kind, *ks = found.groups()
+            seen[kind].add(_order_type(tuple(map(int, ks))))
+    want = {_order_type(x) for x in product(range(4), repeat=4) if x[0] <= x[1] and x[2] < x[3]}
+    # the 13 relations of two intervals [k, l] and [i, j], and the 5 places
+    # of k = l about i < j
+    assert len(want) == 13 + 5
+    assert seen == {"a": want, "b": want}
 
 
 def test_q_relation_decides_cancellation_by_products():

@@ -9,6 +9,7 @@ from qtriangular.structure import (
     CheckReport,
     SUITES,
     _coassociativity,
+    _lemma_lines,
     _m_bb,
     _m_diag,
     _m_offdiag,
@@ -20,7 +21,7 @@ from qtriangular.structure import (
     negative_controls,
     negative_controls_report,
 )
-from qtriangular.triangular import TriangularAlgebra, build, delta_spec, sigma_spec, star_spec
+from qtriangular.triangular import TriangularAlgebra, _sgn, build, delta_spec, sigma_spec, star_spec
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -53,6 +54,83 @@ def test_m_tables_spot_values():
     assert _m_bb(1, 3, 1, 2) == -1  # i=k<j<l
     assert _m_bb(1, 4, 2, 3) == -2  # k<i<j<l
     assert _m_bb(1, 2, 1, 2) == 0
+
+
+def _case_m_diag(k, i, j):
+    # 0 outside [i, j]; 1 on the endpoints; 2 strictly inside
+    if k < i or k > j:
+        return 0
+    if k == i or k == j:
+        return 1
+    return 2
+
+
+def _case_m_offdiag(k, l, i, j):
+    if l < i or k > j:
+        return 0
+    if l == i or k == j:
+        return 1
+    return 2
+
+
+def _case_m_bb(k, l, i, j):
+    if (k == i and l < j) or (i < k and l == j):
+        return 1
+    if i < k and l < j:
+        return 2
+    if (k == i and j < l) or (k < i and l == j):
+        return -1
+    if k < i and j < l:
+        return -2
+    return 0
+
+
+def test_closed_form_tables_match_the_case_oracles():
+    # the case tables by order of indices are the oracle for the closed
+    # forms, at every index the suite reads (k any, k < l, i < j), n = 2..9
+    count = 0
+    for n in range(2, 10):
+        offdiag = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for (i, j) in offdiag:
+            for k in range(1, n + 1):
+                assert _m_diag(k, i, j) == _case_m_diag(k, i, j), (k, i, j)
+            for (k, l) in offdiag:
+                assert _m_offdiag(k, l, i, j) == _case_m_offdiag(k, l, i, j), (k, l, i, j)
+                assert _m_bb(k, l, i, j) == _case_m_bb(k, l, i, j), (k, l, i, j)
+                count += 1
+    assert count == sum((n * (n - 1) // 2) ** 2 for n in range(2, 10))
+
+
+# Each closed form with its signs misplaced, and the first table line it
+# fails.  The _m_bb mutant agrees with _m_bb when (k, l) = (i, j), and
+# (1, 2) is the only off-diagonal pair at n = 2, so it passes there: a run
+# at n = 2 does not cover every n, while n = 4 holds every order type.
+TABLE_MUTANTS = {
+    "m_diag": (
+        "a[1,1]b[1,2] = q^-1 b[1,2]a[1,1]",
+        (lambda k, i, j: _sgn(k - i) + _sgn(k - j), _m_offdiag, _m_bb),
+    ),
+    "m_offdiag": (
+        "a[1,2]b[1,2] = q^0 b[1,2]s(a[1,2])",
+        (_m_diag, lambda k, l, i, j: _sgn(l - j) - _sgn(k - i), _m_bb),
+    ),
+    "m_bb": (
+        "b[1,2]s(b[1,3]) = q^1 b[1,3]s(b[1,2])",
+        (_m_diag, _m_offdiag, lambda k, l, i, j: _sgn(l - j) - _sgn(k - i)),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("table", sorted(TABLE_MUTANTS))
+def test_closed_form_mutants_fail_at_pinned_lines(table, n):
+    label, tables = TABLE_MUTANTS[table]
+    rep = _run("commutation-lemmas", n, _lemma_lines(build(n), *tables))
+    if n == 2 and table == "m_bb":
+        assert rep.passed
+    else:
+        assert not rep.passed
+        assert rep.witness[0] == label
 
 
 def _control(name, n=2):
