@@ -406,8 +406,6 @@ class ScalarQ(_SparseSum):
             raise ZeroDivisionError("division by zero scalar")
         if not self:
             return ZERO
-        if other.is_unit:
-            return self * other.inverse()
         num = dict(self.terms)
         quo = {}
         b_top = max(other.terms)
@@ -441,7 +439,7 @@ class ScalarQ(_SparseSum):
     def from_json(data) -> "ScalarQ":
         terms = {}
         for k, rn, rd, imn, imd in data:
-            terms[int(k)] = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
+            terms[k] = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
         return ScalarQ(terms)
 
     def _term_strings(self):

@@ -125,14 +125,13 @@ _ST = ((1, 1), (1, 2), (2, 2))
 
 def monomial_derivation(st, nu) -> DerivationSpec:
     """The map on T_q(2) sending a[s,t] to a[1,1]^nu_11 a[1,2]^nu_12
-    a[2,2]^nu_22 and the other two generators to zero."""
+    a[2,2]^nu_22 and the other two generators to zero; ``alg.monomial``
+    rejects a negative or wrongly sized nu."""
     alg = build(2)
     if tuple(st) not in _ST:
         raise ValueError(f"unknown generator {st}")
-    if len(nu) != 3 or any(e < 0 for e in nu):
-        raise ValueError("the exponent triple must be nonnegative")
     images = [alg.zero()] * 3
-    images[alg.gen_index(*st)] = alg.monomial(tuple(nu))
+    images[alg.gen_index(*st)] = alg.monomial(nu)
     return DerivationSpec(alg, images)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import compress
-from operator import add
+from operator import add, index, neg
 
 from .coeff import ONE, ZERO, GaussianRational, ScalarQ, _add_into, _power, _SparseSum, _term_text, qpow
 
@@ -53,17 +53,14 @@ class QAlgebra(_Presentation):
     def __init__(self, gen_names, invertible, M):
         names = tuple(gen_names)
         inv = tuple(bool(b) for b in invertible)
-        mat = tuple(tuple(int(x) for x in row) for row in M)
+        mat = tuple(tuple(map(index, row)) for row in M)
         if len(inv) != len(names) or len(mat) != len(names):
             raise ValueError("generator metadata lengths disagree")
-        for a, row in enumerate(mat):
-            if len(row) != len(names):
-                raise ValueError("commutation matrix must be square")
-            if row[a] != 0:
-                raise ValueError("commutation matrix must have zero diagonal")
-            for b in range(a):
-                if row[b] != -mat[b][a]:
-                    raise ValueError("commutation matrix must be antisymmetric")
+        if any(len(row) != len(names) for row in mat):
+            raise ValueError("commutation matrix must be square")
+        # antisymmetry forces the zero diagonal
+        if any(tuple(map(neg, col)) != row for row, col in zip(mat, zip(*mat))):
+            raise ValueError("commutation matrix must be antisymmetric")
         self.gen_names = names
         self.invertible = inv
         self.M = mat
@@ -140,10 +137,19 @@ class QAlgebra(_Presentation):
         return self.term(tuple(exps))
 
     def monomial(self, exps, coeff=1) -> "Element":
-        mono = tuple(int(e) for e in exps)
-        if not self.is_admissible(mono):
-            raise ValueError(f"inadmissible monomial {mono} for {self!r}")
-        return self.term(mono, coeff)
+        return self._checked([(exps, coeff)])
+
+    def _checked(self, terms) -> "Element":
+        """The element with these (monomial, coefficient) pairs, whose
+        exponents must be integers (``operator.index``) and whose monomials
+        must be admissible here."""
+        out = {}
+        for mono, c in terms:
+            mono = tuple(map(index, mono))
+            if not self.is_admissible(mono):
+                raise ValueError(f"inadmissible monomial {mono} for {self!r}")
+            out[mono] = c
+        return Element(self, out)
 
     def to_json(self):
         return {
@@ -268,25 +274,14 @@ class Element(_SparseSum):
     def transport(self, algebra: QAlgebra) -> "Element":
         """Reinterpret in another algebra with the same generator count
         (e.g. the localization); monomials must stay admissible."""
-        out = {}
-        for mono, c in self.terms.items():
-            if not algebra.is_admissible(mono):
-                raise ValueError(f"monomial {mono} not admissible in target algebra")
-            out[mono] = c
-        return Element(algebra, out)
+        return algebra._checked(self.terms.items())
 
     def to_json(self):
         return [[list(mono), c.to_json()] for mono, c in sorted(self.terms.items())]
 
     @staticmethod
     def from_json(algebra: QAlgebra, data) -> "Element":
-        terms = {}
-        for mono, cjson in data:
-            terms[tuple(int(e) for e in mono)] = ScalarQ.from_json(cjson)
-        for mono in terms:
-            if not algebra.is_admissible(mono):
-                raise ValueError(f"inadmissible monomial {mono}")
-        return Element(algebra, terms)
+        return algebra._checked([(mono, ScalarQ.from_json(cjson)) for mono, cjson in data])
 
     def _term_strings(self):
         text = self.algebra.mono_text

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, compress
-from operator import mul
+from operator import index, mul
 
 from .coeff import ZERO, ScalarQ, qpow
 from .qalgebra import SCALARS, Element, MorphismSpec, QAlgebra, TensorElement, tensor_square
@@ -122,8 +122,9 @@ def _build(n: int, localized: bool) -> TriangularAlgebra:
 
 
 def build(n: int, localized: bool = False) -> TriangularAlgebra:
-    """Cached construction, so algebra identity is stable across calls."""
-    return _build(int(n), bool(localized))
+    """Cached construction, so algebra identity is stable across calls;
+    n must be an integer (``operator.index``)."""
+    return _build(index(n), bool(localized))
 
 
 def qdet(alg: TriangularAlgebra) -> Element:
@@ -139,6 +140,13 @@ def tgen(alg: TriangularAlgebra) -> Element:
     if not alg.localized:
         raise ValueError("t lives in the localized algebra only")
     return qdet(alg).inverse()
+
+
+def _triangular(e: Element, what: str) -> TriangularAlgebra:
+    """e's algebra, which the map named ``what`` needs to be triangular."""
+    if not isinstance(e.algebra, TriangularAlgebra):
+        raise ValueError(f"{what} is defined on triangular algebras")
+    return e.algebra
 
 
 # -- coalgebra structure ------------------------------------------------------
@@ -170,10 +178,7 @@ def coproduct(e: Element) -> TensorElement:
     why no point check runs).  Negative diagonal exponents invert the
     group-like tensor a[i,i] (x) a[i,i].
     """
-    alg = e.algebra
-    if not isinstance(alg, TriangularAlgebra):
-        raise ValueError("coproduct is defined on triangular algebras")
-    return delta_spec(alg).apply(e)
+    return delta_spec(_triangular(e, "coproduct")).apply(e)
 
 
 @lru_cache(maxsize=None)
@@ -187,10 +192,7 @@ def counit_spec(alg: TriangularAlgebra) -> MorphismSpec:
 def counit(e: Element) -> ScalarQ:
     """``counit_spec(alg).apply(e)`` read as a scalar; diagonal powers of
     either sign map to 1."""
-    alg = e.algebra
-    if not isinstance(alg, TriangularAlgebra):
-        raise ValueError("counit is defined on triangular algebras")
-    return counit_spec(alg).apply(e).terms.get((), ZERO)
+    return counit_spec(_triangular(e, "counit")).apply(e).terms.get((), ZERO)
 
 
 # -- distinguished (anti)automorphisms ---------------------------------------
@@ -321,10 +323,7 @@ def antipode_spec(alg: TriangularAlgebra) -> MorphismSpec:
 
 
 def antipode(e: Element) -> Element:
-    alg = e.algebra
-    if not isinstance(alg, TriangularAlgebra):
-        raise ValueError("antipode is defined on triangular algebras")
-    return antipode_spec(alg).apply(e)
+    return antipode_spec(_triangular(e, "antipode")).apply(e)
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +344,4 @@ def star_spec(alg: TriangularAlgebra) -> MorphismSpec:
 def star(e: Element) -> Element:
     """The Hopf *-involution γ∘S (apply S first), in one pass through
     ``star_spec``, whose images are not point-checked again (see there)."""
-    alg = e.algebra
-    if not isinstance(alg, TriangularAlgebra):
-        raise ValueError("star is defined on triangular algebras")
-    return star_spec(alg).apply(e)
+    return star_spec(_triangular(e, "star")).apply(e)

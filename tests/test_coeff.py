@@ -100,6 +100,8 @@ def test_gaussian_text():
 def test_json_roundtrip():
     s = ScalarQ({-2: GaussianRational(Fraction(1, 3), 2), 5: GaussianRational(-1)})
     assert ScalarQ.from_json(s.to_json()) == s
+    with pytest.raises(TypeError):
+        ScalarQ.from_json([[1.9, 1, 1, 0, 1]])  # not truncated to q
 
 
 @given(scalars, scalars, scalars)

@@ -30,6 +30,10 @@ def test_presentation_validation():
         QAlgebra(["x"], [False], [[1]])  # nonzero diagonal
     with pytest.raises(ValueError):
         QAlgebra(["x", "y"], [False], [[0, 1], [-1, 0]])  # length mismatch
+    with pytest.raises(ValueError):
+        QAlgebra(["x", "y"], [False, False], [[0, 1], [-1]])  # ragged row
+    with pytest.raises(TypeError):
+        QAlgebra(["x", "y"], [False, False], [[0, 1.5], [-1.5, 0]])  # not an integer
 
 
 def test_monomial_mul_examples():
@@ -144,6 +148,8 @@ def test_units_and_inverse():
     assert not T2.a(1, 1).is_unit  # diagonal not invertible before localization
     with pytest.raises(ValueError):
         T2.monomial((-1, 0, 0))
+    with pytest.raises(TypeError):
+        T2.monomial((1.5, 0, 0))  # not truncated to a[1,1]
 
 
 def test_center_lattice_examples():
@@ -352,6 +358,8 @@ def test_json_roundtrips():
     neg = alg.a(1, 1) ** -1
     with pytest.raises(ValueError):
         Element.from_json(build(2), neg.to_json())  # negative exponents inadmissible
+    with pytest.raises(TypeError):
+        Element.from_json(alg, [[[1.9, 0, 0], ONE.to_json()]])  # not truncated to 1
 
 
 def test_transport():

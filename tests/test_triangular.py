@@ -71,16 +71,19 @@ def _four_family_exponent(p, r):
 
 
 def test_comm_exponent_exhaustive_coverage():
-    # every ordered pair matches exactly one family, and the closed form
-    # agrees with it, antisymmetrically, for all n up to 8 (2,772 pairs)
+    # every ordered pair matches exactly one family, and the closed form and
+    # the matrix M that every product reads agree with it, antisymmetrically,
+    # for all n up to 8 (2,772 pairs)
     count = 0
     for n in range(2, 9):
+        M, g = build(n).M, build(n).gen_index
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
         for p, r in permutations(pairs, 2):
             e = comm_exponent(p, r, n)
             assert e == _four_family_exponent(p, r), (p, r, n)
             assert e in (-2, -1, 0, 1, 2)
             assert comm_exponent(r, p, n) == -e
+            assert M[g(*p)][g(*r)] == e
             count += 1
     assert count == 2772
 
@@ -97,6 +100,9 @@ def test_build_examples():
     assert T3.ngens == 6
     with pytest.raises(ValueError):
         build(1)
+    for size in (2.5, "3"):
+        with pytest.raises(TypeError):
+            build(size)  # not truncated to an integer
     assert build(2) is build(2)  # cached identity
 
 
@@ -123,6 +129,13 @@ def test_coproduct_examples():
     U2 = build(2, True)
     t = tgen(U2)
     assert coproduct(t) == TensorElement.of(t, t)
+
+
+def test_structure_maps_reject_foreign_algebras():
+    x = quantum_affine(2).gen(0)
+    for f in (coproduct, counit, antipode, star):
+        with pytest.raises(ValueError, match=f"^{f.__name__} is defined on triangular algebras$"):
+            f(x)
 
 
 def test_delta_spec_images_are_points():
