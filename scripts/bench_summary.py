@@ -1,0 +1,101 @@
+"""Summarize parent-versus-change benchmark runs into one committed JSON file.
+
+    python3 scripts/bench_summary.py --out BENCH_name.json \\
+        --parent PARENT/perfbench/out/result-*-trace0.json \\
+        --change CHANGE/perfbench/out/result-*-trace0.json
+
+Each input is a result file that ``perfbench/run.py --trace 0`` wrote, one
+per workload and seed.  The output records the machine, the two commits,
+and for each workload and each end-to-end metric that ``BENCHMARK.json``
+declares: the median and quartiles of the parent's and the change's runs,
+and in how many same-seed pairs the change was better.  Runs of one side
+must come from a single commit and every run from a single machine.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MACHINE = ("nproc", "python", "cpu")
+
+
+def _load(paths):
+    return [json.loads(Path(p).read_text(encoding="utf-8")) for p in paths]
+
+
+def _only(values, what):
+    values = set(values)
+    if len(values) != 1:
+        raise SystemExit(f"bench_summary: the runs disagree on {what}: {sorted(map(str, values))}")
+    return values.pop()
+
+
+def _spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _by_seed(runs, workload):
+    out = {}
+    for r in runs:
+        if r["info"]["workload"] == workload:
+            if r["info"]["seed"] in out:
+                raise SystemExit(f"bench_summary: two {workload} runs of seed {r['info']['seed']} on one side")
+            out[r["info"]["seed"]] = r
+    return out
+
+
+def summarize(parent, change, metrics):
+    """The summary document of two lists of loaded result files."""
+    everything = parent + change
+    doc = {
+        "machine": {k: _only((r["info"][k] for r in everything), k) for k in MACHINE},
+        "parent": _only((r["info"]["commit"] for r in parent), "the parent commit"),
+        "change": _only((r["info"]["commit"] for r in change), "the change commit"),
+        "workloads": {},
+    }
+    for workload in sorted({r["info"]["workload"] for r in everything}):
+        p, c = _by_seed(parent, workload), _by_seed(change, workload)
+        seeds = sorted(p.keys() & c.keys())
+        if len(seeds) < 2:
+            raise SystemExit(f"bench_summary: {workload} needs at least two seeds run on both sides")
+        row = {"seeds": seeds,
+               "correct": all(side[s]["result"]["correct"] for side in (p, c) for s in seeds),
+               "failed": {"parent": sum(p[s]["result"]["failed"] for s in seeds),
+                          "change": sum(c[s]["result"]["failed"] for s in seeds)},
+               "metrics": {}}
+        for m in metrics:
+            name, sign = m["name"], (1 if m["better"] == "lower" else -1)
+            pv = [p[s]["result"]["metrics"][name]["value"] for s in seeds]
+            cv = [c[s]["result"]["metrics"][name]["value"] for s in seeds]
+            row["metrics"][name] = {
+                "unit": m["unit"],
+                "better": m["better"],
+                "parent": _spread(pv),
+                "change": _spread(cv),
+                "change_better_pairs": sum(sign * (a - b) > 0 for a, b in zip(pv, cv)),
+            }
+        doc["workloads"][workload] = row
+    return doc
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="the JSON file to write")
+    ap.add_argument("--parent", nargs="+", required=True, help="result files of the parent commit")
+    ap.add_argument("--change", nargs="+", required=True, help="result files of the change")
+    args = ap.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    doc = summarize(_load(args.parent), _load(args.change), metrics)
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

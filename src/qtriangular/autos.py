@@ -6,7 +6,13 @@ generators.  Index-preserving automorphisms of the localized algebra form
 the sextuple group: (l12, l11, l22, j, k, l) acts by
 
     a[1,2] |-> l12 * a[1,1]^k a[2,2]^l a[1,2]
-    a[i,i] |-> l_ii * z^j a[i,i]          with z = a[1,1] a[2,2]^-1.
+    a[i,i] |-> l_ii * z^j a[i,i]          with z = a[1,1] a[2,2]^-1,
+
+which in normal form (exponents of a[1,1], a[1,2], a[2,2]) is
+
+    a[1,1] |-> l11 * x^(j+1, 0, -j)
+    a[1,2] |-> l12 q^l * x^(k, 1, l)
+    a[2,2] |-> l22 * x^(j, 0, 1-j).
 
 The product law composes with the FIRST factor outermost; this convention
 is pinned by the endomorphism-composition oracle in the test suite.
@@ -15,8 +21,9 @@ is pinned by the endomorphism-composition oracle in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
-from .coeff import ScalarQ
+from .coeff import ONE, ScalarQ
 from .qalgebra import MorphismSpec
 from .triangular import build, coproduct, counit
 
@@ -44,13 +51,15 @@ class Sextuple:
         object.__setattr__(self, "l11", _unit(self.l11))
         object.__setattr__(self, "l22", _unit(self.l22))
         for f in ("j", "k", "l"):
-            if not isinstance(getattr(self, f), int):
-                raise TypeError(f"{f} must be an integer")
+            try:
+                # a plain int, so True prints and keys monomials as 1
+                object.__setattr__(self, f, index(getattr(self, f)))
+            except TypeError:
+                raise TypeError(f"{f} must be an integer") from None
 
     @staticmethod
     def identity() -> "Sextuple":
-        one = ScalarQ.constant(1)
-        return Sextuple(one, one, one, 0, 0, 0)
+        return Sextuple(ONE, ONE, ONE, 0, 0, 0)
 
     def __str__(self):
         return f"[{self.l12},{self.l11},{self.l22},{self.j},{self.k},{self.l}]"
@@ -58,15 +67,22 @@ class Sextuple:
 
 def g_to_endo(s: Sextuple) -> MorphismSpec:
     """The endomorphism of the localized size-2 algebra encoded by a
-    sextuple; always passes the point check."""
+    sextuple, with each image written down as its one-term normal form.
+
+    The generators are ordered a[1,1], a[1,2], a[2,2], and M[a11][a22] = 0,
+    so z = a[1,1] a[2,2]^-1 = x^(1, 0, -1) commutes with both diagonal
+    generators: z^j a[1,1] = x^(j+1, 0, -j) and z^j a[2,2] = x^(j, 0, 1-j).
+    M[a22][a12] = 1 gives a[2,2]^l a[1,2] = q^l a[1,2] a[2,2]^l, and
+    a[1,1]^k stands first already, so a[1,1]^k a[2,2]^l a[1,2] =
+    q^l x^(k, 1, l).  The point check still runs, so a wrong form raises.
+    """
     ut = build(2, True)
-    a11, a12, a22 = ut.a(1, 1), ut.a(1, 2), ut.a(2, 2)
-    z = a11 * a22.inverse()
-    images = [
-        (z**s.j * a11).scale(s.l11),
-        (a11**s.k * a22**s.l * a12).scale(s.l12),
-        (z**s.j * a22).scale(s.l22),
-    ]
+    j = s.j
+    images = (
+        ut.term((j + 1, 0, -j), s.l11),
+        ut.term((s.k, 1, s.l), s.l12.q_shift(s.l)),
+        ut.term((j, 0, 1 - j), s.l22),
+    )
     return MorphismSpec(ut, images)
 
 
@@ -106,10 +122,9 @@ def rho_conjugate(s: Sextuple) -> Sextuple:
 def g_decompose(s: Sextuple):
     """The unique factorization g = (j part) * (k,l part) * (scale part),
     with the middle entries corrected to (k - j(k+l), l + j(k+l))."""
-    one = ScalarQ.constant(1)
     kl = s.k + s.l
-    g1 = Sextuple(one, one, one, s.j, 0, 0)
-    g2 = Sextuple(one, one, one, 0, s.k - s.j * kl, s.l + s.j * kl)
+    g1 = Sextuple(ONE, ONE, ONE, s.j, 0, 0)
+    g2 = Sextuple(ONE, ONE, ONE, 0, s.k - s.j * kl, s.l + s.j * kl)
     g3 = Sextuple(s.l12, s.l11, s.l22, 0, 0, 0)
     return g1, g2, g3
 
@@ -118,8 +133,7 @@ def is_hopf_auto(s: Sextuple) -> bool:
     """Membership in the Hopf-automorphism subgroup: both diagonal scales
     are 1 and (k, l) = (j, -j), so the a[1,2] factor is a power of the
     central z."""
-    one = ScalarQ.constant(1)
-    return s.l11 == one and s.l22 == one and s.k == s.j and s.l == -s.j
+    return s.l11 == ONE and s.l22 == ONE and s.k == s.j and s.l == -s.j
 
 
 def delta_compatible(s: Sextuple) -> bool:
@@ -129,9 +143,10 @@ def delta_compatible(s: Sextuple) -> bool:
     phi = g_to_endo(s)
     for g in range(ut.ngens):
         e = ut.gen(g)
-        if coproduct(phi.apply(e)) != coproduct(e).map_factors(phi.apply, phi.apply):
+        img = phi.apply(e)
+        if coproduct(img) != coproduct(e).map_factors(phi.apply, phi.apply):
             return False
-        if counit(phi.apply(e)) != counit(e):
+        if counit(img) != counit(e):
             return False
     return True
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,8 +18,9 @@ from qtriangular.autos import (
     linear_auto_spec,
     rho_conjugate,
 )
+from qtriangular.cli import parse_sextuple
 from qtriangular.coeff import ScalarQ, qpow
-from qtriangular.qalgebra import is_point
+from qtriangular.qalgebra import Element, is_point
 from qtriangular.triangular import build, rho_spec
 
 ONE = ScalarQ.constant(1)
@@ -36,8 +38,61 @@ def test_sextuple_validation():
         Sextuple(ScalarQ({}), ONE, ONE, 0, 0, 0)
     with pytest.raises(ValueError):
         Sextuple(ONE + qpow(1), ONE, ONE, 0, 0, 0)  # not a unit
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="l must be an integer"):
         Sextuple(ONE, ONE, ONE, 0, 0, "1")
+
+
+def test_sextuple_stores_plain_ints():
+    s = Sextuple(1, 1, 1, True, False, 0)
+    assert s == Sextuple(1, 1, 1, 1, 0, 0)
+    assert [type(x) for x in (s.j, s.k, s.l)] == [int, int, int]
+    assert str(s) == "[1,1,1,1,0,0]"
+    assert parse_sextuple(str(s)) == s
+    assert all(type(e) is int for img in g_to_endo(Sextuple(1, 1, 1, 0, True, True)).images
+               for mono in img.terms for e in mono)
+
+
+def _product_images(s):
+    """The images as products of generators, the oracle for the closed form."""
+    ut = build(2, True)
+    a11, a12, a22 = ut.a(1, 1), ut.a(1, 2), ut.a(2, 2)
+    z = a11 * a22.inverse()
+    return (
+        (z**s.j * a11).scale(s.l11),
+        (a11**s.k * a22**s.l * a12).scale(s.l12),
+        (z**s.j * a22).scale(s.l22),
+    )
+
+
+def test_g_to_endo_closed_form_matches_products():
+    rng = random.Random(38)
+    for jkl in product(range(-3, 4), repeat=3):
+        for _ in range(2):
+            s = Sextuple(random_unit(rng), random_unit(rng), random_unit(rng), *jkl)
+            assert g_to_endo(s).images == _product_images(s)
+
+
+def test_g_to_endo_makes_no_products(monkeypatch):
+    calls = []
+
+    def count(name):
+        method = getattr(Element, name)
+
+        def counted(*args):
+            calls.append(name)
+            return method(*args)
+
+        monkeypatch.setattr(Element, name, counted)
+
+    for name in ("__mul__", "inverse", "__pow__"):
+        count(name)
+    s = Sextuple(qpow(1), 2, 3, -2, 3, -1)
+    phi = g_to_endo(s)
+    assert calls == []
+    # the counters do see the product formula
+    oracle = _product_images(s)
+    assert set(calls) == {"__mul__", "inverse", "__pow__"}
+    assert phi.images == oracle
 
 
 def test_g_to_endo_examples():
