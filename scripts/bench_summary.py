@@ -9,7 +9,10 @@ per workload and seed.  The output records the machine, the two commits,
 and for each workload and each end-to-end metric that ``BENCHMARK.json``
 declares: the median and quartiles of the parent's and the change's runs,
 and in how many same-seed pairs the change was better.  Runs of one side
-must come from a single commit and every run from a single machine.
+must come from a single commit and every run from a single machine.  It
+also records each side's ``src/qtriangular/*.py`` line count (the
+benchmark's ``src.lines``), read with git from the commit that side's
+result files name, so both commits must be in this repository's history.
 Standard library only.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,13 +55,28 @@ def _by_seed(runs, workload):
     return out
 
 
+def src_lines(commit, repo=ROOT):
+    """What ``cat src/qtriangular/*.py | wc -l`` prints in a checkout of
+    ``commit``, or None when ``repo`` does not hold that commit."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, check=True).stdout
+
+    try:
+        names = git("ls-tree", "--name-only", commit, "src/qtriangular/").decode().splitlines()
+        return sum(git("show", f"{commit}:{name}").count(b"\n") for name in names if name.endswith(".py"))
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
 def summarize(parent, change, metrics):
     """The summary document of two lists of loaded result files."""
     everything = parent + change
+    commits = {"parent": _only((r["info"]["commit"] for r in parent), "the parent commit"),
+               "change": _only((r["info"]["commit"] for r in change), "the change commit")}
     doc = {
         "machine": {k: _only((r["info"][k] for r in everything), k) for k in MACHINE},
-        "parent": _only((r["info"]["commit"] for r in parent), "the parent commit"),
-        "change": _only((r["info"]["commit"] for r in change), "the change commit"),
+        **commits,
+        "src_lines": {side: src_lines(commit) for side, commit in commits.items()},
         "workloads": {},
     }
     for workload in sorted({r["info"]["workload"] for r in everything}):

@@ -22,7 +22,6 @@ from .triangular import (
     b_element,
     b_recurrence,
     build,
-    comm_exponent,
     coproduct,
     counit,
     counit_spec,

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import GaussianRational, ScalarQ
+from .coeff import I, Q, ZERO, ScalarQ
 from .qalgebra import Element, TensorElement, center_lattice
 from .triangular import (
     TriangularAlgebra,
@@ -38,6 +38,12 @@ from .triangular import (
 from . import structure
 from .autos import Sextuple, g_compose, g_decompose, g_inverse, is_hopf_auto, rho_conjugate
 from .deriv import classify_T2, utq2_derivation_table
+
+
+#: deepest parenthesis nesting; each level is four stack frames of the parser
+MAX_DEPTH = 100
+#: largest --n; M is N x N with N = n(n+1)/2, and --n 50 normalizes in under 1 s
+MAX_N = 50
 
 
 class ParseError(ValueError):
@@ -71,6 +77,7 @@ class _Parser:
         self.alg = alg
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -106,18 +113,19 @@ class _Parser:
         return e
 
     def factor(self) -> Element:
-        if self.peek()[:2] == ("op", "-"):
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.take("op", "-")
-            return -self.factor()
+            negate = not negate
         e = self.atom()
         if self.peek()[:2] == ("op", "^"):
             pos = self.take("op", "^")[2]
             k = self.signed_int()
             try:
-                return e**k
+                e = e**k
             except ValueError as err:
                 raise ParseError(str(err), pos) from None
-        return e
+        return -e if negate else e
 
     def signed_int(self) -> int:
         sign = 1
@@ -141,9 +149,9 @@ class _Parser:
         if kind == "name":
             self.take("name")
             if value == "i":
-                return self.alg.scalar(GaussianRational(0, 1))
+                return self.alg.scalar(I)
             if value == "q":
-                return self.alg.scalar(ScalarQ({1: GaussianRational(1)}))
+                return self.alg.scalar(Q)
             if value == "a":
                 self.take("op", "[")
                 i = int(self.take("int")[1])
@@ -164,9 +172,13 @@ class _Parser:
                     raise ParseError("z needs the localized algebra", pos)
                 return self.alg.a(1, 1) * self.alg.a(2, 2).inverse()
         if (kind, value) == ("op", "("):
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
             self.take("op", "(")
+            self.depth += 1
             e = self.expr()
             self.take("op", ")")
+            self.depth -= 1
             return e
         raise ParseError(f"unexpected token {value!r}", pos)
 
@@ -189,11 +201,10 @@ def format_tensor(te: TensorElement) -> str:
 def parse_scalar(text: str) -> ScalarQ:
     """Parse a generator-free expression into a scalar."""
     e = _Parser(text, build(2, True)).parse()
-    zero_mono = (0,) * e.algebra.ngens
-    for mono in e.terms:
-        if mono != zero_mono:
-            raise ParseError("expected a scalar expression without generators", 0)
-    return e.terms.get(zero_mono, ScalarQ({}))
+    unit = e.algebra.unit_mono()
+    if any(mono != unit for mono in e.terms):
+        raise ParseError("expected a scalar expression without generators", 0)
+    return e.terms.get(unit, ZERO)
 
 
 def parse_sextuple(text: str) -> Sextuple:
@@ -442,6 +453,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.n > MAX_N:
+            raise ValueError(f"--n {args.n} is above the largest supported size {MAX_N}")
         return args.fn(args)
     except (ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

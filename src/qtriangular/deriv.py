@@ -123,16 +123,22 @@ def inner_derivation(x: Element) -> DerivationSpec:
 _ST = ((1, 1), (1, 2), (2, 2))
 
 
+def _single_image(alg, st, image) -> DerivationSpec:
+    """The map on the size-2 algebra ``alg`` sending a[s,t] to ``image``
+    and the other two generators to zero."""
+    images = [alg.zero()] * 3
+    images[alg.gen_index(*st)] = image
+    return DerivationSpec(alg, images)
+
+
 def monomial_derivation(st, nu) -> DerivationSpec:
     """The map on T_q(2) sending a[s,t] to a[1,1]^nu_11 a[1,2]^nu_12
     a[2,2]^nu_22 and the other two generators to zero; ``alg.monomial``
     rejects a negative or wrongly sized nu."""
-    alg = build(2)
     if tuple(st) not in _ST:
         raise ValueError(f"unknown generator {st}")
-    images = [alg.zero()] * 3
-    images[alg.gen_index(*st)] = alg.monomial(nu)
-    return DerivationSpec(alg, images)
+    alg = build(2)
+    return _single_image(alg, st, alg.monomial(nu))
 
 
 def dertypes_expected(st, nu) -> bool:
@@ -165,12 +171,7 @@ def classify_T2(bound: int) -> list:
 def named_derivations(alg) -> dict:
     """The three Euler-type derivations D11, D12, D22 (each scales its own
     generator) on a size-2 algebra, plain or localized."""
-    out = {}
-    for label, st in (("D11", (1, 1)), ("D12", (1, 2)), ("D22", (2, 2))):
-        images = [alg.zero()] * 3
-        images[alg.gen_index(*st)] = alg.a(*st)
-        out[label] = DerivationSpec(alg, images)
-    return out
+    return {f"D{s}{t}": _single_image(alg, (s, t), alg.a(s, t)) for s, t in _ST}
 
 
 def _rank(rows) -> int:
@@ -262,8 +263,8 @@ def utq2_derivation_table() -> CheckReport:
     zinv = z.inverse()
 
     dbar11 = DerivationSpec(ut, [a11, ut.zero(), a22])
-    dbar12 = DerivationSpec(ut, [ut.zero(), a12, ut.zero()])
-    dz = DerivationSpec(ut, [ut.zero(), ut.zero(), -(zinv * zinv * a11)])
+    dbar12 = _single_image(ut, (1, 2), a12)
+    dz = _single_image(ut, (2, 2), -(zinv * zinv * a11))
     named = named_derivations(ut)
     d11, d12, d22 = named["D11"], named["D12"], named["D22"]
 

@@ -26,6 +26,10 @@ from operator import add, index, neg
 from .coeff import ONE, ZERO, GaussianRational, ScalarQ, _add_into, _power, _SparseSum, _term_text, qpow
 
 
+def _sgn(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
 class _Presentation:
     """Constructors shared by QAlgebra and TensorSquare, written once on
     each one's ``term`` and ``unit_mono``.  Element asks a presentation
@@ -165,7 +169,7 @@ class QAlgebra(_Presentation):
 def quantum_affine(n: int) -> QAlgebra:
     """The uniparameter quantum affine space on x_1..x_n with
     x_i x_j = q x_j x_i for i > j."""
-    M = [[(1 if a > b else -1 if a < b else 0) for b in range(n)] for a in range(n)]
+    M = [[_sgn(a - b) for b in range(n)] for a in range(n)]
     return QAlgebra([f"x{i}" for i in range(1, n + 1)], [False] * n, M)
 
 

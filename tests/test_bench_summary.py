@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,33 @@ def test_summarize_rejects_mixed_runs():
         bench_summary.summarize([_run("p", 0, 0.9), _run("p", 1, 0.9, cpu="y")], change, METRICS)
     with pytest.raises(SystemExit, match="two seeds"):
         bench_summary.summarize([_run("p", 0, 0.9)], change, METRICS)
+
+
+def test_src_lines_counts_the_package_modules_at_a_commit(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                               *args], capture_output=True, check=True, text=True).stdout.strip()
+
+    pkg = tmp_path / "src" / "qtriangular"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (pkg / "sub" / "c.py").write_text("not counted: not matched by *.py at the top\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    first = git("rev-parse", "HEAD")
+    (pkg / "b.py").write_text("z = 3\nw = 4\n")
+    git("commit", "-q", "-am", "second")
+    assert bench_summary.src_lines(first, repo=tmp_path) == 3
+    assert bench_summary.src_lines("HEAD", repo=tmp_path) == 4
+    assert bench_summary.src_lines("0" * 40, repo=tmp_path) is None
+
+
+def test_summary_records_both_sides_src_lines(monkeypatch):
+    monkeypatch.setattr(bench_summary, "src_lines", {"p": 120, "c": 100}.get)
+    parent = [_run("p", s, 0.9) for s in range(2)]
+    change = [_run("c", s, 0.5) for s in range(2)]
+    doc = bench_summary.summarize(parent, change, METRICS)
+    assert doc["src_lines"] == {"parent": 120, "change": 100}

@@ -234,6 +234,58 @@ def test_cli_reports_parse_errors(capsys):
     assert "out of range" in err
 
 
+def _nested(depth, inner="1"):
+    return "(" * depth + inner + ")" * depth
+
+
+def test_deep_parentheses_exit_2(capsys):
+    # past the cap the parser stops at the offending "(" instead of
+    # recursing until Python's stack runs out
+    want = f"error: parentheses nested deeper than {cli.MAX_DEPTH} (at position {cli.MAX_DEPTH})\n"
+    assert main(["normalize", _nested(400)]) == 2
+    assert capsys.readouterr() == ("", want)
+    assert main(["autos", "invert", f"[{_nested(300)},1,1,1,1,1]"]) == 2
+    assert capsys.readouterr().err.startswith("error: parentheses nested deeper than")
+    with pytest.raises(ParseError, match=f"at position {cli.MAX_DEPTH}"):
+        parse(_nested(cli.MAX_DEPTH + 1), T2)
+
+
+def test_nesting_at_the_cap_parses(capsys):
+    assert parse(_nested(cli.MAX_DEPTH, "a[1,2]"), T2) == T2.a(1, 2)
+    # the depth is the nesting, not the number of groups
+    assert parse("+".join([_nested(cli.MAX_DEPTH)] * 3), T2) == T2.scalar(3)
+    assert main(["normalize", _nested(cli.MAX_DEPTH, "q")]) == 0
+    assert capsys.readouterr().out == "q\n"
+
+
+def test_long_unary_minus_runs_parse(capsys):
+    assert main(["normalize", "1+" + "-" * 3000 + "1"]) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert parse("-" * 3001 + "a[1,1]", T2) == -T2.a(1, 1)
+    # a unary minus still binds looser than a power
+    assert parse("-a[1,2]^2", T2) == -(T2.a(1, 2) ** 2)
+    assert parse("--a[1,2]^2", T2) == T2.a(1, 2) ** 2
+
+
+def test_n_above_max_n_exits_2_before_any_algebra(capsys, monkeypatch):
+    class Built(Exception):
+        pass
+
+    def build_raises(*args):
+        raise Built(args)
+
+    monkeypatch.setattr(cli, "build", build_raises)
+    monkeypatch.setattr(structure, "build", build_raises)
+    n = cli.MAX_N + 1
+    want = f"error: --n {n} is above the largest supported size {cli.MAX_N}\n"
+    for argv in (["normalize", "a[1,1]"], ["check", "star"]):
+        assert main(["--n", str(n), *argv]) == 2
+        assert capsys.readouterr() == ("", want)
+    # the ceiling itself passes the guard and reaches the algebra
+    with pytest.raises(Built):
+        main(["--n", str(cli.MAX_N), "normalize", "a[1,1]"])
+
+
 def test_reused_parser_leaks_no_state(capsys):
     assert cli._build_parser() is cli._build_parser()
     assert main(["--json", "derivations", "classify", "--bound", "1"]) == 0

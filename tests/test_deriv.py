@@ -40,6 +40,16 @@ def test_is_derivation_builds_only_second_halves(monkeypatch):
     assert len(calls) == 12
 
 
+def test_named_derivations_are_monomial_derivations():
+    T2 = build(2)
+    named = named_derivations(T2)
+    assert list(named) == ["D11", "D12", "D22"]
+    for label, nu in (("D11", (1, 0, 0)), ("D12", (0, 1, 0)), ("D22", (0, 0, 1))):
+        st = (int(label[1]), int(label[2]))
+        assert named[label].algebra is T2
+        assert named[label].images == monomial_derivation(st, nu).images
+
+
 def test_is_derivation_examples():
     assert is_derivation(monomial_derivation((1, 2), (0, 1, 0)))
     T2 = build(2)

@@ -19,7 +19,6 @@ from qtriangular.triangular import (
     b_element,
     b_recurrence,
     build,
-    comm_exponent,
     coproduct,
     counit,
     counit_spec,
@@ -35,21 +34,25 @@ from qtriangular.triangular import (
 )
 
 
-def test_comm_exponent_examples():
-    assert comm_exponent((2, 2), (1, 2), 2) == 1
-    assert comm_exponent((1, 1), (2, 2), 2) == 0
-    assert comm_exponent((2, 3), (1, 4), 4) == 2
-    assert comm_exponent((1, 4), (2, 3), 4) == -2
-    assert comm_exponent((1, 1), (1, 2), 2) == 1
+def _exponent(p, r, n):
+    """The commutation exponent of a_p and a_r, read off ``build(n).M``."""
+    T = build(n)
+    return T.M[T.gen_index(*p)][T.gen_index(*r)]
+
+
+def test_commutation_matrix_examples():
+    assert _exponent((2, 2), (1, 2), 2) == 1
+    assert _exponent((1, 1), (2, 2), 2) == 0
+    assert _exponent((2, 3), (1, 4), 4) == 2
+    assert _exponent((1, 4), (2, 3), 4) == -2
+    assert _exponent((1, 1), (1, 2), 2) == 1
     with pytest.raises(ValueError):
-        comm_exponent((1, 2), (1, 2), 2)
-    with pytest.raises(ValueError):
-        comm_exponent((2, 1), (1, 1), 2)
+        _exponent((2, 1), (1, 1), 2)
 
 
 def _four_family_exponent(p, r):
     """The paper's four relation families, matched against the pair: the
-    oracle for ``comm_exponent``'s closed form."""
+    oracle for the closed form that builds M."""
     (pi, pj), (ri, rj) = p, r
     matches = []
     # same column k: a[j,k] a[i,k] = q a[i,k] a[j,k] for i < j <= k
@@ -70,20 +73,19 @@ def _four_family_exponent(p, r):
     return matches[0]
 
 
-def test_comm_exponent_exhaustive_coverage():
-    # every ordered pair matches exactly one family, and the closed form and
-    # the matrix M that every product reads agree with it, antisymmetrically,
-    # for all n up to 8 (2,772 pairs)
+def test_commutation_matrix_exhaustive_coverage():
+    # every ordered pair matches exactly one family, and the matrix M that
+    # every product reads agrees with it, antisymmetrically, for all n up to
+    # 8 (2,772 pairs)
     count = 0
     for n in range(2, 9):
         M, g = build(n).M, build(n).gen_index
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
         for p, r in permutations(pairs, 2):
-            e = comm_exponent(p, r, n)
+            e = M[g(*p)][g(*r)]
             assert e == _four_family_exponent(p, r), (p, r, n)
             assert e in (-2, -1, 0, 1, 2)
-            assert comm_exponent(r, p, n) == -e
-            assert M[g(*p)][g(*r)] == e
+            assert M[g(*r)][g(*p)] == -e
             count += 1
     assert count == 2772
 
@@ -295,6 +297,22 @@ def test_b_element_examples():
         b_element(0, 1, T2)
     with pytest.raises(ValueError):
         b_element(2, 1, T2)
+
+
+def test_diagonal_b_is_the_other_diagonals_product():
+    # the oracle is the product b_element computed for i == j before the
+    # chain sum took that case over, as the term of the one chain (i)
+    for n in range(2, 8):
+        for localized in (False, True):
+            alg = build(n, localized)
+            for i in range(1, n + 1):
+                expected = alg.one()
+                for k in range(1, n + 1):
+                    if k != i:
+                        expected = expected * alg.a(k, k)
+                b = b_element(i, i, alg)
+                assert b == expected, (n, localized, i)
+                assert list(b.terms) == list(expected.terms)
 
 
 def test_b_recurrence_examples():
