@@ -44,6 +44,9 @@ from .deriv import classify_T2, utq2_derivation_table
 MAX_DEPTH = 100
 #: largest --n; M is N x N with N = n(n+1)/2, and --n 50 normalizes in under 1 s
 MAX_N = 50
+#: largest j - i - 1, so b[i,j] has at most 2^MAX_CHAIN terms; at --n 12 the
+#: antipode's images (b up to b[1,12]) let ``star`` answer in under 1 s
+MAX_CHAIN = 10
 
 
 class ParseError(ValueError):
@@ -455,6 +458,11 @@ def main(argv=None) -> int:
     try:
         if args.n > MAX_N:
             raise ValueError(f"--n {args.n} is above the largest supported size {MAX_N}")
+        # b builds its b[i,j]; antipode, star and check build antipode_spec, which needs b[1,n]
+        i, j = (args.i, args.j) if args.command == "b" else (1, args.n)
+        if args.command in ("b", "antipode", "star", "check") and 1 <= i < j <= args.n and j - i - 1 > MAX_CHAIN:
+            raise ValueError(f"{args.command} needs b[{i},{j}], whose 2^{j - i - 1} terms are above "
+                             f"the largest supported 2^{MAX_CHAIN}")
         return args.fn(args)
     except (ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

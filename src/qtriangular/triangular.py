@@ -111,11 +111,10 @@ def build(n: int, localized: bool = False) -> TriangularAlgebra:
 
 
 def qdet(alg: TriangularAlgebra) -> Element:
-    """The quantum determinant: the product of the diagonal generators."""
-    out = alg.one()
-    for i in range(1, alg.n + 1):
-        out = out * alg.a(i, i)
-    return out
+    """The quantum determinant: the product of the diagonal generators,
+    which is the monomial x^(1 on every diagonal) with coefficient 1, since
+    diagonal generators commute with each other."""
+    return alg.term(tuple(int(i == j) for i, j in alg.gen_pairs))
 
 
 def tgen(alg: TriangularAlgebra) -> Element:
@@ -235,29 +234,45 @@ def _chains(i: int, j: int):
 
 @lru_cache(maxsize=None)
 def b_element(i: int, j: int, alg: TriangularAlgebra) -> Element:
-    """The cofactor-like element b[i,j].
+    """The cofactor-like element b[i,j], written as its normal form.
 
     It is the signed chain sum with coefficient (-1)^s q^(2(j-i)-s) over
     chains i = i_0 < ... < i_s = j, each multiplied by the complementary
-    diagonal product.  b[i,i] is the term of the one chain (i), with s = 0:
-    the product of the other diagonal generators.  So b[i,j] has degree
+    diagonal product: a[i_0,i_1] ... a[i_(s-1),i_s] times a[k,k] for every
+    k off the chain, k ascending.  b[i,i] is the term of the one chain (i),
+    with s = 0: the product of the other diagonal generators.
+
+    That product is already in normal form, so each chain's term is the
+    monomial mu with exponent 1 at each step and at each off-chain
+    diagonal, and the coefficient above.  Reordering x^alpha x^beta costs
+    q^w with w = sum over placed a > new b of alpha_a beta_b M[a][b] (see
+    ``monomial_mul``), and w = 0 at every factor:
+
+    - the steps ascend in the lexicographic generator order, so no placed
+      factor comes after a new step;
+    - an off-chain a[k,k] comes after a placed step a[u,v] only when u > k
+      (u = k is impossible, as k is off the chain); then v > u > k, so
+      M = sgn(u - k) + sgn(k - v) = 1 - 1 = 0;
+    - diagonal generators commute with each other.
+
+    Reading mu's row and column marginals gives b[i,j]'s degree
     (1 - e_j, 1 - e_i) for every n: a chain fills rows i_0..i_(s-1) and
     columns i_1..i_s, and its diagonal factors fill row and column k for
     each k off the chain.
     """
     if not (1 <= i <= j <= alg.n):
         raise ValueError(f"b[{i},{j}] is out of range for n={alg.n}")
-    out = alg.zero()
+    terms = {}
     for chain in _chains(i, j):
         s = len(chain) - 1
-        term = alg.scalar(qpow(2 * (j - i) - s, (-1) ** s))
+        mono = [0] * alg.ngens
         for u, v in zip(chain, chain[1:]):
-            term = term * alg.a(u, v)
+            mono[alg.gen_index(u, v)] = 1
         for k in range(1, alg.n + 1):
             if k not in chain:
-                term = term * alg.a(k, k)
-        out = out + term
-    return out
+                mono[alg.gen_index(k, k)] = 1
+        terms[tuple(mono)] = qpow(2 * (j - i) - s, (-1) ** s)
+    return Element(alg, terms)
 
 
 def b_recurrence(i: int, j: int, alg: TriangularAlgebra, side: str = "left") -> Element:

@@ -267,15 +267,23 @@ def test_long_unary_minus_runs_parse(capsys):
     assert parse("--a[1,2]^2", T2) == T2.a(1, 2) ** 2
 
 
-def test_n_above_max_n_exits_2_before_any_algebra(capsys, monkeypatch):
-    class Built(Exception):
-        pass
+class Built(Exception):
+    pass
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    """Make building any algebra raise ``Built``, so a guard that lets an
+    oversized input through fails fast instead of running out of memory."""
 
     def build_raises(*args):
         raise Built(args)
 
     monkeypatch.setattr(cli, "build", build_raises)
     monkeypatch.setattr(structure, "build", build_raises)
+
+
+def test_n_above_max_n_exits_2_before_any_algebra(capsys, no_build):
     n = cli.MAX_N + 1
     want = f"error: --n {n} is above the largest supported size {cli.MAX_N}\n"
     for argv in (["normalize", "a[1,1]"], ["check", "star"]):
@@ -284,6 +292,43 @@ def test_n_above_max_n_exits_2_before_any_algebra(capsys, monkeypatch):
     # the ceiling itself passes the guard and reaches the algebra
     with pytest.raises(Built):
         main(["--n", str(cli.MAX_N), "normalize", "a[1,1]"])
+
+
+def test_chain_sums_above_max_chain_exit_2_before_any_algebra(capsys, no_build):
+    cap = cli.MAX_CHAIN
+    for argv, command, j in (
+        (["--n", "50", "b", "1", "50"], "b", 50),
+        (["--n", "50", "--localized", "antipode", "a[1,50]"], "antipode", 50),
+        (["--n", "50", "check", "star"], "check", 50),
+        (["--n", str(cap + 3), "--localized", "star", "a[1,1]"], "star", cap + 3),
+        (["--n", str(cap + 3), "check", "bialgebra"], "check", cap + 3),
+        (["--n", str(cap + 3), "b", "1", str(cap + 3)], "b", cap + 3),
+    ):
+        assert main(argv) == 2, argv
+        want = f"error: {command} needs b[1,{j}], whose 2^{j - 2} terms are above the largest supported 2^{cap}\n"
+        assert capsys.readouterr() == ("", want)
+    assert main(["--n", "50", "b", "2", "50"]) == 2
+    assert "needs b[2,50], whose 2^47 terms" in capsys.readouterr().err
+    # at the cap, and for b[i,j] that are short or out of range, the guard
+    # lets the command through to the algebra
+    for argv in (
+        ["--n", str(cap + 2), "b", "1", str(cap + 2)],
+        ["--n", str(cap + 2), "--localized", "star", "a[1,1]"],
+        ["--n", str(cap + 2), "check", "star"],
+        ["--n", "50", "b", "1", "2"],
+        ["--n", "50", "b", "49", "50"],
+        ["--n", "50", "b", "1", "51"],
+        ["--n", "50", "b", "2", "1"],
+        ["--n", "50", "normalize", "a[1,1]"],
+    ):
+        with pytest.raises(Built):
+            main(argv)
+
+
+def test_chain_cap_boundary_answers(capsys):
+    m = cli.MAX_CHAIN + 2
+    assert main(["--n", str(m), "--json", "b", "1", str(m)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["terms"]) == 2**cli.MAX_CHAIN
 
 
 def test_reused_parser_leaks_no_state(capsys):

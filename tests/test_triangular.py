@@ -6,6 +6,7 @@ import pytest
 from qtriangular.coeff import GaussianRational, I, ONE, ScalarQ, qpow
 from qtriangular.qalgebra import (
     SCALARS,
+    Element,
     MorphismSpec,
     TensorElement,
     is_point,
@@ -313,6 +314,70 @@ def test_diagonal_b_is_the_other_diagonals_product():
                 b = b_element(i, i, alg)
                 assert b == expected, (n, localized, i)
                 assert list(b.terms) == list(expected.terms)
+
+
+def _product_b(i, j, alg):
+    """b[i,j] rebuilt the way b_element once did: each chain's term as a
+    product of generators, and a running sum of the terms.  The chains come
+    from ``combinations``, not from ``_chains``."""
+    out = alg.zero()
+    interior = range(i + 1, j)
+    for size in range(len(interior) + 1):
+        for mid in combinations(interior, size):
+            chain = [i, *mid, j] if i < j else [i]
+            s = len(chain) - 1
+            term = alg.scalar(qpow(2 * (j - i) - s, (-1) ** s))
+            for u, v in zip(chain, chain[1:]):
+                term = term * alg.a(u, v)
+            for k in range(1, alg.n + 1):
+                if k not in chain:
+                    term = term * alg.a(k, k)
+            out = out + term
+    return out
+
+
+@pytest.mark.parametrize("localized", [False, True])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_b_element_is_the_product_chain_sum(n, localized):
+    alg = build(n, localized)
+    for i, j in alg.gen_pairs:
+        b, expected = b_element(i, j, alg), _product_b(i, j, alg)
+        assert b == expected, (i, j)
+        assert str(b) == str(expected)
+        assert sorted(b.terms.items()) == sorted(expected.terms.items())
+
+
+@pytest.mark.parametrize("localized", [False, True])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_qdet_is_the_diagonal_product(n, localized):
+    alg = build(n, localized)
+    expected = alg.one()
+    for i in range(1, n + 1):
+        expected = expected * alg.a(i, i)
+    assert qdet(alg) == expected
+    assert str(qdet(alg)) == str(expected)
+
+
+def test_b_element_and_qdet_make_no_element_product_or_sum(monkeypatch):
+    calls = []
+    for name in ("__mul__", "__add__"):
+        original = getattr(Element, name)
+
+        def counted(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Element, name, counted)
+    for n in range(2, 7):
+        for localized in (False, True):
+            alg = build(n, localized)
+            qdet(alg)
+            for i, j in alg.gen_pairs:
+                b_element.__wrapped__(i, j, alg)
+    assert calls == []
+    # the counters do see products and sums
+    alg.a(1, 2) * alg.a(1, 1) + alg.one()
+    assert calls == ["__mul__", "__add__"]
 
 
 def test_b_recurrence_examples():
