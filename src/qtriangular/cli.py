@@ -44,8 +44,10 @@ from .deriv import classify_T2, utq2_derivation_table
 MAX_DEPTH = 100
 #: largest --n; M is N x N with N = n(n+1)/2, and --n 50 normalizes in under 1 s
 MAX_N = 50
-#: largest j - i - 1, so b[i,j] has at most 2^MAX_CHAIN terms; at --n 12 the
-#: antipode's images (b up to b[1,12]) let ``star`` answer in under 1 s
+#: largest j - i - 1, so b[i,j] has at most 2^MAX_CHAIN terms.  ``star`` at
+#: --n MAX_CHAIN + 2 answers in under 1 s (0.41 s at --n 12, 0.46-0.67 s at
+#: --n 13 on a 2-core Xeon, Python 3.11), which would allow 11; it stays 10
+#: because the same gate covers ``check``, whose star suite takes 8 s at n = 10
 MAX_CHAIN = 10
 
 

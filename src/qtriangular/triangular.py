@@ -322,20 +322,35 @@ def antipode(e: Element) -> Element:
 
 @lru_cache(maxsize=None)
 def star_spec(alg: TriangularAlgebra) -> MorphismSpec:
-    """The Hopf *-involution as an antilinear antimorphism spec: the
-    composite γ∘S of the antipode (an antimorphism) and the antilinear
-    reflection (a morphism), fixed by a[i,j] |-> γ(S(a[i,j])).
+    """The Hopf *-involution γ∘S as an antilinear antimorphism spec, whose
+    images are the antipode's read through ρ(i, j) = (n+1-j, n+1-i):
+    *(a[i,j]) = S(a[ρ(i,j)]), so building it takes no product.
 
-    No point check runs here: both factors are point-checked when their own
-    specs are built, and a composite of (anti)morphisms is one again, so the
-    images satisfy the reversed relations by construction.
+    This holds for every n:
+
+    - ρ preserves M: for p = (i,j), r = (k,l),
+      M[ρp][ρr] = sgn(l - j) + sgn(i - k) = M[p][r];
+    - γ(t) = t, since ρ permutes the diagonals and the diagonals commute;
+    - γ(b[i,j]) = b[ρ(i,j)] exactly.  ρ sends the chain i < ... < j to the
+      chain n+1-j < ... < n+1-i with the same s and j - i, so the real
+      coefficient (-1)^s q^(2(j-i)-s) is unchanged and conjugation fixes
+      it, and the image monomial is the reflected chain's normal-form
+      monomial (see ``b_element``).  The only factor pairs of a chain
+      monomial with M != 0 are a step (u,v) and an off-chain diagonal k
+      with u < k < v; they are in order at the source, (u,v) < (k,k), and
+      at the target, (n+1-v, n+1-u) < (n+1-k, n+1-k), so γ picks up no
+      reordering shift.
+
+    So *(a[i,j]) = γ(t) γ(b[i,j]) = t b[ρ(i,j)] = S(a[ρ(i,j)]).  No point
+    check runs here: S's images pass it when ``antipode_spec`` is built,
+    ρ preserves M, and conjugation fixes q.
     """
-    gamma = gamma_spec(alg)
-    images = [gamma.apply(img) for img in antipode_spec(alg).images]
+    n, s_images = alg.n, antipode_spec(alg).images
+    images = [s_images[alg.gen_index(n + 1 - j, n + 1 - i)] for (i, j) in alg.gen_pairs]
     return MorphismSpec(alg, images, antimorphism=True, antilinear=True, check=False)
 
 
 def star(e: Element) -> Element:
     """The Hopf *-involution γ∘S (apply S first), in one pass through
-    ``star_spec``, whose images are not point-checked again (see there)."""
+    ``star_spec``, whose images are S's reindexed by ρ (see there)."""
     return star_spec(_triangular(e, "star")).apply(e)

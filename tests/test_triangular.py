@@ -17,6 +17,7 @@ from qtriangular.qalgebra import (
 )
 from qtriangular.triangular import (
     antipode,
+    antipode_spec,
     b_element,
     b_recurrence,
     build,
@@ -87,6 +88,8 @@ def test_commutation_matrix_exhaustive_coverage():
             assert e == _four_family_exponent(p, r), (p, r, n)
             assert e in (-2, -1, 0, 1, 2)
             assert M[g(*r)][g(*p)] == -e
+            # the reflection ρ(i,j) = (n+1-j, n+1-i) preserves M
+            assert M[g(n + 1 - p[1], n + 1 - p[0])][g(n + 1 - r[1], n + 1 - r[0])] == e
             count += 1
     assert count == 2772
 
@@ -358,7 +361,8 @@ def test_qdet_is_the_diagonal_product(n, localized):
     assert str(qdet(alg)) == str(expected)
 
 
-def test_b_element_and_qdet_make_no_element_product_or_sum(monkeypatch):
+def _count_element_ops(monkeypatch):
+    """A list that records every ``Element`` product and sum from now on."""
     calls = []
     for name in ("__mul__", "__add__"):
         original = getattr(Element, name)
@@ -368,6 +372,11 @@ def test_b_element_and_qdet_make_no_element_product_or_sum(monkeypatch):
             return original(self, other)
 
         monkeypatch.setattr(Element, name, counted)
+    return calls
+
+
+def test_b_element_and_qdet_make_no_element_product_or_sum(monkeypatch):
+    calls = _count_element_ops(monkeypatch)
     for n in range(2, 7):
         for localized in (False, True):
             alg = build(n, localized)
@@ -378,6 +387,15 @@ def test_b_element_and_qdet_make_no_element_product_or_sum(monkeypatch):
     # the counters do see products and sums
     alg.a(1, 2) * alg.a(1, 1) + alg.one()
     assert calls == ["__mul__", "__add__"]
+
+
+def test_star_spec_makes_no_element_product_or_sum(monkeypatch):
+    for n in range(2, 8):
+        antipode_spec(build(n, True))
+    calls = _count_element_ops(monkeypatch)
+    for n in range(2, 8):
+        star_spec.__wrapped__(build(n, True))
+    assert calls == []
 
 
 def test_b_recurrence_examples():
@@ -418,6 +436,12 @@ def test_rho_and_sigma_act_on_b():
             b = b_element(i, j, T)
             assert rho.apply(b) == b_element(n + 1 - j, n + 1 - i, T)
             assert sig.apply(b) == b.scale(qpow(2 * (i - j)))
+    # γ(b[i,j]) = b[ρ(i,j)] exactly, which makes * the antipode reindexed by ρ
+    for n in range(2, 10):
+        for alg in (build(n), build(n, True)):
+            gamma = gamma_spec(alg)
+            for (i, j) in alg.gen_pairs:
+                assert gamma.apply(b_element(i, j, alg)) == b_element(n + 1 - j, n + 1 - i, alg)
 
 
 def test_convolution_identity():
@@ -477,6 +501,14 @@ def test_star_examples():
         for _ in range(4):
             e = random_element(U, rng, max_terms=3, pos_range=(0, 1), max_support=4)
             assert star(e) == gamma_spec(U).apply(antipode(e))
+    # the images are S's reindexed by ρ, equal to the γ pass over S's images
+    for n in range(2, 10):
+        U = build(n, True)
+        expected = [gamma_spec(U).apply(x) for x in antipode_spec(U).images]
+        for img, exp in zip(star_spec(U).images, expected, strict=True):
+            assert img == exp, n
+            assert str(img) == str(exp)
+            assert sorted(img.terms.items()) == sorted(exp.terms.items())
     # star_spec skips the point check; it holds for its images
     for n in (2, 3, 4, 5, 6):
         U = build(n, True)
