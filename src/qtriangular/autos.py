@@ -20,11 +20,10 @@ is pinned by the endomorphism-composition oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
 from .coeff import ONE, ScalarQ
-from .qalgebra import MorphismSpec
+from .qalgebra import MorphismSpec, _Record
 from .triangular import build, coproduct, counit
 
 
@@ -35,27 +34,20 @@ def _unit(x) -> ScalarQ:
     return s
 
 
-@dataclass(frozen=True)
-class Sextuple:
+class Sextuple(_Record):
     """An element (l12, l11, l22, j, k, l) of the sextuple group."""
 
-    l12: ScalarQ
-    l11: ScalarQ
-    l22: ScalarQ
-    j: int
-    k: int
-    l: int
+    __slots__ = ("l12", "l11", "l22", "j", "k", "l")
 
-    def __post_init__(self):
-        object.__setattr__(self, "l12", _unit(self.l12))
-        object.__setattr__(self, "l11", _unit(self.l11))
-        object.__setattr__(self, "l22", _unit(self.l22))
-        for f in ("j", "k", "l"):
+    def __init__(self, l12: ScalarQ, l11: ScalarQ, l22: ScalarQ, j: int, k: int, l: int):
+        fields = [_unit(l12), _unit(l11), _unit(l22)]
+        for f, x in zip("jkl", (j, k, l)):
             try:
                 # a plain int, so True prints and keys monomials as 1
-                object.__setattr__(self, f, index(getattr(self, f)))
+                fields.append(index(x))
             except TypeError:
                 raise TypeError(f"{f} must be an integer") from None
+        self._set(*fields)
 
     @staticmethod
     def identity() -> "Sextuple":
@@ -151,21 +143,20 @@ def delta_compatible(s: Sextuple) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LinearAuto2:
+class LinearAuto2(_Record):
     """A linear automorphism of the plain size-2 algebra: a unit scale on
     a[1,2] and an invertible matrix whose columns give the images of the
     diagonal generators."""
 
-    lam: ScalarQ
-    mat: tuple  # ((m11, m12), (m21, m22)), columns = images of a11, a22
+    __slots__ = ("lam", "mat")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _unit(self.lam))
-        rows = tuple(tuple(ScalarQ.coerce(x) for x in row) for row in self.mat)
+    def __init__(self, lam: ScalarQ, mat: tuple):
+        lam = _unit(lam)
+        # mat = ((m11, m12), (m21, m22)), columns = images of a11, a22
+        rows = tuple(tuple(ScalarQ.coerce(x) for x in row) for row in mat)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("the mixing matrix must be 2x2")
-        object.__setattr__(self, "mat", rows)
+        self._set(lam, rows)
 
     @property
     def det(self) -> ScalarQ:

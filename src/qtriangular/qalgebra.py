@@ -17,11 +17,10 @@ operations are pure functions, safe for concurrent use.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import compress
-from operator import add, index, neg
+from operator import add, attrgetter, index, mul, neg
 
 from .coeff import ONE, ZERO, GaussianRational, ScalarQ, _add_into, _power, _SparseSum, _term_text, qpow
 
@@ -46,6 +45,12 @@ class _Presentation:
 
     def scalar(self, c) -> "Element":
         return self.term(self.unit_mono(), c)
+
+    def degree_form(self, d1, d2) -> int:
+        """The exponent B of q-commutation between degrees d1 and d2 of a
+        graded presentation (see ``QAlgebra.degree``): the dot product of
+        ``degree_vector(d1)`` and ``degree_dual(d2)``."""
+        return sum(map(mul, self.degree_vector(d1), self.degree_dual(d2)))
 
 
 class QAlgebra(_Presentation):
@@ -102,9 +107,10 @@ class QAlgebra(_Presentation):
     def degree(self, mono):
         """The degree of x^mono in a grading on which q-commutation factors,
         or None when the presentation has none (as here).  A presentation
-        with a grading also has ``degree_form(d1, d2)``, the integer B with
-        x^alpha x^beta = q^B x^beta x^alpha whenever alpha and beta have
-        degrees d1 and d2; ``q_relation`` uses it to skip products."""
+        with a grading also has ``degree_vector`` and ``degree_dual``, whose
+        dot product ``degree_form(d1, d2)`` is the B with x^alpha x^beta =
+        q^B x^beta x^alpha whenever alpha and beta have degrees d1 and d2;
+        ``is_point`` and ``q_relation`` use them to skip products."""
         return None
 
     def monomial_mul(self, alpha, beta):
@@ -364,9 +370,11 @@ class TensorSquare(_Presentation):
         dv = None if du is None else self.right.degree(v)
         return None if dv is None else (du, dv)
 
-    def degree_form(self, d1, d2) -> int:
-        (u1, v1), (u2, v2) = d1, d2
-        return self.left.degree_form(u1, u2) + self.right.degree_form(v1, v2)
+    def degree_vector(self, d) -> tuple:
+        return self.left.degree_vector(d[0]) + self.right.degree_vector(d[1])
+
+    def degree_dual(self, d) -> tuple:
+        return self.left.degree_dual(d[0]) + self.right.degree_dual(d[1])
 
 
 @lru_cache(maxsize=None)
@@ -430,12 +438,13 @@ def q_relation(y: Element, z: Element, m: int, dy, dz):
     ``dy`` and ``dz`` are the term degrees of y and z (``term_degrees``),
     or None.  Write y and z as sums of terms y_k and z_l.  Monomials
     q-commute by their degrees alone, so a term pair of degrees a and b
-    has y_k z_l = q^B z_l y_k with B = ``degree_form(a, b)``.  When
-    B == m for every pair, summing over the pairs gives y*z = q^m * z*y, and
-    the pair is (True, True); a zero side has no terms, and 0 = q^m * 0.
-    Otherwise the pair is the products (y*z, q^m * z*y), which decide the
-    relation exactly, even one that holds only by cancellation, so a
-    relation that fails is witnessed by two products that differ.
+    has y_k z_l = q^B z_l y_k with B = ``degree_form(a, b)``, the dot
+    product of a's degree vector and b's dual.  When B == m for every pair,
+    summing over the pairs gives y*z = q^m * z*y, and the pair is
+    (True, True); a zero side has no terms, and 0 = q^m * 0.  Otherwise the
+    pair is the products (y*z, q^m * z*y), which decide the relation
+    exactly, even one that holds only by cancellation, so a relation that
+    fails is witnessed by two products that differ.
     """
     if dy is not None and dz is not None and all(y.algebra.degree_form(a, b) == m for a in dy for b in dz):
         return True, True
@@ -453,9 +462,10 @@ def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     there).  ``delta_spec`` builds the comultiplication without this check,
     which the bialgebra suite runs instead, once per size.
 
-    Each relation is decided by ``q_relation``: by the degrees of the
-    images' term pairs, and by products only for a relation the degrees
-    reject or in a target without a grading (such as ``SCALARS``).
+    Each relation is decided as ``q_relation`` decides it: by the degrees of
+    the images' term pairs, each one dot product of vectors and duals built
+    once per image, and by products only for a relation the degrees reject
+    or in a target without a grading (such as ``SCALARS``).
     """
     images = list(images)
     if len(images) != algebra.ngens:
@@ -465,11 +475,18 @@ def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     # which rejects mixed algebras
     target = images[0].algebra if images else None
     degrees = [term_degrees(img) if img.algebra is target else None for img in images]
+    vectors = [None if d is None else [target.degree_vector(x) for x in d] for d in degrees]
+    duals = [None if d is None else [target.degree_dual(x) for x in d] for d in degrees]
     for a in range(algebra.ngens):
         if algebra.invertible[a] and not images[a].is_unit:
             return False
+        va = vectors[a]
         for b in range(a):
-            lhs, rhs = q_relation(images[a], images[b], sign * algebra.M[a][b], degrees[a], degrees[b])
+            m, db = sign * algebra.M[a][b], duals[b]
+            if va is not None and db is not None and all(sum(map(mul, v, d)) == m for v in va for d in db):
+                continue
+            # the degrees reject the relation or there are none: products decide it
+            lhs, rhs = q_relation(images[a], images[b], m, None, None)
             if lhs != rhs:
                 return False
     return True
@@ -553,8 +570,45 @@ class MorphismSpec:
     __call__ = apply
 
 
-@dataclass(frozen=True)
-class CenterLattice:
+class _Record:
+    """An immutable record of the fields in ``__slots__``, valued like a
+    frozen dataclass: equal to one of its own class with equal fields
+    (``NotImplemented`` otherwise), hashed, printed and pickled by them.
+    A subclass's ``__init__`` stores its checked fields with ``_set``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the field tuple of a record, read in C: r._fields(r)
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def _set(self, *values, _setattr=object.__setattr__):
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class CenterLattice(_Record):
     """Result of the monomial-center computation.
 
     ``kernel_basis`` is a Hermite-normal-form basis of {nu : M nu = 0};
@@ -563,9 +617,10 @@ class CenterLattice:
     ``violations`` are basis vectors with no admissible sign.
     """
 
-    kernel_basis: tuple
-    generators: tuple
-    violations: tuple
+    __slots__ = ("kernel_basis", "generators", "violations")
+
+    def __init__(self, kernel_basis: tuple, generators: tuple, violations: tuple):
+        self._set(kernel_basis, generators, violations)
 
     @property
     def is_scalar_center(self) -> bool:

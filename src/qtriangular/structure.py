@@ -17,7 +17,6 @@ that takes the map under test: its ``check_*`` passes the real map, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .coeff import I, ScalarQ, _add_into, qpow
@@ -25,6 +24,7 @@ from .qalgebra import (
     SCALARS,
     MorphismSpec,
     TensorElement,
+    _Record,
     is_point,
     q_relation,
     tensor_square,
@@ -51,19 +51,16 @@ from .triangular import (
 )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one suite; ``witness`` holds (identity label, lhs, rhs)
     exactly when the suite failed."""
 
-    name: str
-    n: int
-    passed: bool
-    witness: tuple | None = None
+    __slots__ = ("name", "n", "passed", "witness")
 
-    def __post_init__(self):
-        if self.passed == (self.witness is not None):
+    def __init__(self, name: str, n: int, passed: bool, witness: tuple | None = None):
+        if passed == (witness is not None):
             raise ValueError("witness must be present exactly on failure")
+        self._set(name, n, passed, witness)
 
     def line(self) -> str:
         if self.passed:

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, compress
-from operator import index, mul
+from operator import index, neg
 
 from .coeff import ZERO, ScalarQ, qpow
 from .qalgebra import SCALARS, Element, MorphismSpec, QAlgebra, TensorElement, _sgn, tensor_square
 
 
-def _sgn_form(x, y) -> int:
-    """The sum of x_i * y_k * sgn(i - k) over all i, k, in O(n): each x_i
-    meets the y-mass below i minus the y-mass above it."""
-    below = accumulate(y, initial=0)
-    return 2 * sum(map(mul, x, below)) + sum(map(mul, x, y)) - sum(x) * sum(y)
+@lru_cache
+def _sgn_dual(y) -> tuple:
+    """s(y)_i = sum_k y_k sgn(i - k) = 2 sum_(k<i) y_k + y_i - sum_k y_k,
+    in a bounded cache keyed by y: a point check meets few distinct ones."""
+    total = sum(y)
+    return tuple(2 * below + yi - total for below, yi in zip(accumulate(y, initial=0), y))
 
 
 class TriangularAlgebra(QAlgebra):
@@ -70,12 +71,14 @@ class TriangularAlgebra(QAlgebra):
         these degrees, so for monomials of degrees (R1, C1) and (R2, C2)
 
             x^alpha x^beta = q^B x^beta x^alpha,
-            B = sum R1_i R2_k sgn(i - k) + sum C1_j C2_l sgn(l - j),
+            B = sum R1_i R2_k sgn(i - k) + sum C1_j C2_l sgn(l - j).
 
-        which ``degree_form`` computes.  ``q_relation`` decides a relation
-        y*z = q^m * z*y by it, term pair by term pair, for ``is_point`` and
-        every commutation-lemma line.  σ scales a monomial of degree (R, C)
-        by q^(2(sum_i i R_i - sum_j j C_j)), so a[k,l] and b[k,l] alike by
+        So B = <vec(d1), dual(d2)> (``degree_form``), with vec(R, C) = R || C
+        and dual(R, C) = s(R) || -s(C), where s(y)_i = sum_k y_k sgn(i - k)
+        (``_sgn_dual``), as sgn(l - j) = -sgn(j - l).  ``is_point`` builds
+        its images' vectors and duals once, so a term pair costs one dot
+        product.  σ scales a monomial of degree (R, C) by
+        q^(2(sum_i i R_i - sum_j j C_j)), so a[k,l] and b[k,l] alike by
         q^(2(k - l)).
         """
         rows = [0] * self.n
@@ -87,12 +90,13 @@ class TriangularAlgebra(QAlgebra):
             cols[j] += mono[g]
         return tuple(rows), tuple(cols)
 
-    def degree_form(self, d1, d2) -> int:
-        """The exponent B of q-commutation between degrees d1 and d2; see
-        ``degree``.  The column sum is minus ``_sgn_form``, as sgn(l - j)
-        reverses the order."""
-        (r1, c1), (r2, c2) = d1, d2
-        return _sgn_form(r1, r2) - _sgn_form(c1, c2)
+    def degree_vector(self, d) -> tuple:
+        """vec(R, C) = R || C; see ``degree``."""
+        return d[0] + d[1]
+
+    def degree_dual(self, d) -> tuple:
+        """dual(R, C) = s(R) || -s(C); see ``degree``."""
+        return _sgn_dual(d[0]) + tuple(map(neg, _sgn_dual(d[1])))
 
     def __repr__(self):
         kind = "localized " if self.localized else ""
@@ -142,9 +146,9 @@ def delta_spec(alg: TriangularAlgebra) -> MorphismSpec:
     Its monomials are (u, v) pairs, as the CLI and the benchmark read them
     (see ``TensorSquare``).  No point check runs here: the bialgebra suite's
     "comultiplication is a morphism" line proves it.  Building Δ takes
-    2-17 ms, while its point check takes 0.03 s at n = 7, 0.23 s at n = 10
-    and 2.3 s at n = 14 (2-core Xeon, Python 3.11), so running it on every
-    construction would make each CLI command on Δ pay seconds at large n.
+    2-16 ms at n = 7..14; its point check takes 7 ms at n = 7, 0.05 s at
+    n = 10 and 0.32-0.37 s at n = 14 (2-core Xeon, Python 3.11), some 20
+    times the build, which every CLI command on Δ would pay at large n.
     """
     sq = tensor_square(alg, alg)
     images = [

@@ -4,14 +4,16 @@
 commutation-lemma lines by the degrees of its sides' term pairs, and builds
 products only for a relation the degrees reject or in a presentation without
 a grading.  These tests hold the certificate to a product-only oracle kept
-here, check the degree form against ``monomial_mul``, count the products it
+here, check the degree form against ``monomial_mul`` and its vectors and
+duals against a sign-sum oracle kept here, count the products and forms it
 saves, and check the n-free degree forms that prove the commutation tables
 for every n.
 """
 
 import random
 import re
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 
 import pytest
 
@@ -20,6 +22,7 @@ from qtriangular.qalgebra import (
     SCALARS,
     Element,
     TensorElement,
+    TensorSquare,
     is_point,
     q_relation,
     random_element,
@@ -38,6 +41,7 @@ from qtriangular.structure import (
     check_point_product,
 )
 from qtriangular.triangular import (
+    TriangularAlgebra,
     _sgn,
     antipode_spec,
     b_element,
@@ -65,6 +69,14 @@ def _is_point_by_products(images, algebra, opposite=False):
     return True
 
 
+def _sgn_form(x, y) -> int:
+    """The sum of x_i * y_k * sgn(i - k) over all i, k, in O(n): each x_i
+    meets the y-mass below i minus the y-mass above it.  The oracle for the
+    degree duals."""
+    below = accumulate(y, initial=0)
+    return 2 * sum(map(mul, x, below)) + sum(map(mul, x, y)) - sum(x) * sum(y)
+
+
 def _random_mono(alg, rng):
     return tuple(
         rng.randint(-2, 2) if alg.invertible[g] else rng.randint(0, 2) for g in range(alg.ngens)
@@ -84,6 +96,36 @@ def test_degree_form_is_the_q_commutation_exponent(n, localized):
         u, v = (alpha, beta), (_random_mono(alg, rng), _random_mono(alg, rng))
         (w1, _), (w2, _) = sq.monomial_mul(u, v), sq.monomial_mul(v, u)
         assert sq.degree_form(sq.degree(u), sq.degree(v)) == w1 - w2
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_degree_vectors_and_duals_match_the_sign_sum_oracle(n):
+    # B(d1, d2) = <vec(d1), dual(d2)> is sum R1_i R2_k sgn(i - k) minus the
+    # same sum over the columns, in a plain algebra; a square concatenates
+    # its factors' vectors and duals, so its form is the sum of theirs
+    t = build(n)
+    sq = tensor_square(t, t)
+    nested = tensor_square(t, sq)
+    rng = random.Random(n)
+
+    def marginals():
+        return tuple(rng.randint(-3, 3) for _ in range(n)), tuple(rng.randint(-3, 3) for _ in range(n))
+
+    def oracle(d1, d2):
+        (r1, c1), (r2, c2) = d1, d2
+        return _sgn_form(r1, r2) - _sgn_form(c1, c2)
+
+    for _ in range(100):
+        d = [marginals() for _ in range(6)]
+        want = oracle(d[0], d[1])
+        assert sum(map(mul, t.degree_vector(d[0]), t.degree_dual(d[1]))) == want
+        assert t.degree_form(d[0], d[1]) == want
+        du, dv = (d[0], d[2]), (d[1], d[3])
+        assert sq.degree_vector(du) == t.degree_vector(d[0]) + t.degree_vector(d[2])
+        assert sq.degree_dual(dv) == t.degree_dual(d[1]) + t.degree_dual(d[3])
+        assert sq.degree_form(du, dv) == want + oracle(d[2], d[3])
+        nu, nv = (d[0], (d[2], d[4])), (d[1], (d[3], d[5]))
+        assert nested.degree_form(nu, nv) == want + oracle(d[2], d[3]) + oracle(d[4], d[5])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -237,7 +279,7 @@ def _corrupt(images, rng):
 def test_is_point_agrees_with_products():
     rng = random.Random(20)
     verdicts = {}
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         for name, images, source, opposite in _tuples(n, rng):
             trials = [list(images)] + [_corrupt(images, rng) for _ in range(6)]
             for k, imgs in enumerate(trials):
@@ -250,6 +292,29 @@ def test_is_point_agrees_with_products():
     assert {True, False} <= set().union(*verdicts.values())
     for name in ("generators", "S = t*b", "star", "Delta", "AB", "diagonal, zeros elsewhere"):
         assert True in verdicts[name], name
+
+
+def test_is_point_of_delta_evaluates_no_degree_form_and_no_product(monkeypatch):
+    # each image's degree vectors and duals are built once, and each of the
+    # 3,360 term pairs of Δ's relations at n = 7 is one dot product of them
+    t = build(7)
+    images = delta_spec(t).images
+    calls = {"degree_form": 0, "product": 0}
+
+    def counter(key, f):
+        def counted(*args):
+            calls[key] += 1
+            return f(*args)
+
+        return counted
+
+    for cls in (TriangularAlgebra, TensorSquare):
+        monkeypatch.setattr(cls, "degree_form", counter("degree_form", cls.degree_form))
+    for cls in (Element, TensorElement):
+        monkeypatch.setattr(cls, "__mul__", counter("product", Element.__mul__))
+    assert is_point(images, t)
+    monkeypatch.undo()
+    assert calls == {"degree_form": 0, "product": 0}
 
 
 def test_is_point_rejects_mixed_algebras_as_before():
