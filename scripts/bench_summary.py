@@ -4,16 +4,18 @@
         --parent PARENT/perfbench/out/result-*-trace0.json \\
         --change CHANGE/perfbench/out/result-*-trace0.json
 
-Each input is a result file that ``perfbench/run.py --trace 0`` wrote, one
-per workload and seed.  The output records the machine, the two commits,
-and for each workload and each end-to-end metric that ``BENCHMARK.json``
-declares: the median and quartiles of the parent's and the change's runs,
-and in how many same-seed pairs the change was better.  Runs of one side
-must come from a single commit and every run from a single machine.  It
-also records each side's ``src/qtriangular/*.py`` line count (the
-benchmark's ``src.lines``), read with git from the commit that side's
-result files name, so both commits must be in this repository's history.
-Standard library only.
+Each input is a result file that ``perfbench/run.py`` wrote, one per
+workload, seed and trace setting.  The output records the machine, the two
+commits, and for each workload and each end-to-end metric that
+``BENCHMARK.json`` declares: the median and quartiles of the parent's and
+the change's untraced runs, and in how many same-seed pairs the change was
+better.  A traced run (``--trace 1``) on both sides with one workload and
+seed adds that pair's per-layer metrics under ``traced``, to show where a
+saving sits.  Runs of one side must come from a single commit and every
+run from a single machine.  It also records each side's
+``src/qtriangular/*.py`` line count (the benchmark's ``src.lines``), read
+with git from the commit that side's result files name, so both commits
+must be in this repository's history.  Standard library only.
 """
 
 from __future__ import annotations
@@ -68,8 +70,26 @@ def src_lines(commit, repo=ROOT):
         return None
 
 
-def summarize(parent, change, metrics):
-    """The summary document of two lists of loaded result files."""
+def _traced_pairs(parent, change, layers):
+    """The per-layer metrics of the traced runs, paired by workload and seed."""
+    def by_key(runs):
+        return {(r["info"]["workload"], r["info"]["seed"]): r["result"]["metrics"] for r in runs}
+
+    p, c = by_key(parent), by_key(change)
+    return {
+        f"{workload}-seed{seed}": {
+            m["name"]: {"unit": m["unit"], "better": m["better"],
+                        "parent": p[workload, seed].get(m["name"], {}).get("value"),
+                        "change": c[workload, seed].get(m["name"], {}).get("value")}
+            for m in layers
+        }
+        for workload, seed in sorted(p.keys() & c.keys())
+    }
+
+
+def summarize(parent, change, metrics, layers=()):
+    """The summary document of two lists of loaded result files; traced
+    runs are summarized by the per-layer ``layers``."""
     everything = parent + change
     commits = {"parent": _only((r["info"]["commit"] for r in parent), "the parent commit"),
                "change": _only((r["info"]["commit"] for r in change), "the change commit")}
@@ -79,7 +99,9 @@ def summarize(parent, change, metrics):
         "src_lines": {side: src_lines(commit) for side, commit in commits.items()},
         "workloads": {},
     }
-    for workload in sorted({r["info"]["workload"] for r in everything}):
+    traced = _traced_pairs(*([r for r in side if r["info"].get("trace")] for side in (parent, change)), layers)
+    parent, change = ([r for r in side if not r["info"].get("trace")] for side in (parent, change))
+    for workload in sorted({r["info"]["workload"] for r in parent + change}):
         p, c = _by_seed(parent, workload), _by_seed(change, workload)
         seeds = sorted(p.keys() & c.keys())
         if len(seeds) < 2:
@@ -101,6 +123,8 @@ def summarize(parent, change, metrics):
                 "change_better_pairs": sum(sign * (a - b) > 0 for a, b in zip(pv, cv)),
             }
         doc["workloads"][workload] = row
+    if traced:
+        doc["traced"] = traced
     return doc
 
 
@@ -110,8 +134,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", nargs="+", required=True, help="result files of the parent commit")
     ap.add_argument("--change", nargs="+", required=True, help="result files of the change")
     args = ap.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    doc = summarize(_load(args.parent), _load(args.change), metrics)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    doc = summarize(_load(args.parent), _load(args.change), spec["end_to_end"], spec["per_layer"])
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -71,3 +71,21 @@ def test_summary_records_both_sides_src_lines(monkeypatch):
     change = [_run("c", s, 0.5) for s in range(2)]
     doc = bench_summary.summarize(parent, change, METRICS)
     assert doc["src_lines"] == {"parent": 120, "change": 100}
+
+
+def test_traced_runs_give_per_layer_pairs_and_stay_out_of_the_medians():
+    layers = [{"name": "qalgebra.is_point.self_s", "unit": "s", "better": "lower"}]
+
+    def traced(commit, value):
+        run = _run(commit, 0, 99.0, workload="check_n7")
+        run["info"]["trace"] = 1
+        run["result"]["metrics"]["qalgebra.is_point.self_s"] = {"value": value, "unit": "s"}
+        return run
+
+    parent = [_run("p", s, 0.9) for s in range(2)] + [traced("p", 0.13)]
+    change = [_run("c", s, 0.5) for s in range(2)] + [traced("c", 0.03)]
+    doc = bench_summary.summarize(parent, change, METRICS, layers)
+    assert list(doc["workloads"]) == ["rank2_exact"]
+    assert doc["traced"] == {"check_n7-seed0": {"qalgebra.is_point.self_s": {
+        "unit": "s", "better": "lower", "parent": 0.13, "change": 0.03}}}
+    assert "traced" not in bench_summary.summarize(parent[:2], change[:2], METRICS, layers)
