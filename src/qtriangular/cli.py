@@ -6,8 +6,14 @@ Grammar (whitespace insensitive, explicit '*' only):
     expr   := term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := atom ('^' int)? | '-' factor
-    atom   := rational | 'i' | 'q' | 'a' '[' int ',' int ']'
+    atom   := rational | 'i' | 'q' | 'a' '[' digits ',' digits ']'
             | 't' | 'det' | 'z' | '(' expr ')'
+    int    := '-'? digits
+
+A sextuple ``autos`` argument is read by the same grammar, its first three
+entries as expressions without generators:
+
+    sextuple := '[' expr ',' expr ',' expr ',' int ',' int ',' int ']'
 
 ``t`` and ``z`` (= a[1,1]*a[2,2]^-1) need the localized algebra; ``det`` is
 always available.  Formatting is canonical, so parse(format(e)) == e.
@@ -76,9 +82,19 @@ def _tokenize(text: str):
     return tokens
 
 
+#: the named atoms; ``t`` and ``z`` need the localized algebra
+_NAMED = {
+    "i": lambda alg: alg.scalar(I),
+    "q": lambda alg: alg.scalar(Q),
+    "det": qdet,
+    "t": tgen,
+    "z": lambda alg: alg.a(1, 1) * alg.a(2, 2).inverse(),
+}
+_LOCALIZED = ("t", "z")
+
+
 class _Parser:
     def __init__(self, text: str, alg: TriangularAlgebra):
-        self.text = text
         self.alg = alg
         self.tokens = _tokenize(text)
         self.i = 0
@@ -95,12 +111,21 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self) -> Element:
-        e = self.expr()
+    def accept(self, op: str):
+        """Take the next token if it is the operator ``op``: the token, or None."""
+        tok = self.tokens[self.i]
+        if tok[1] == op and tok[0] == "op":
+            self.i += 1
+            return tok
+        return None
+
+    def read(self, production):
+        """One ``production`` (an unbound method) and then the end of the text."""
+        value = production(self)
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return e
+        return value
 
     def expr(self) -> Element:
         e = self.term()
@@ -112,74 +137,53 @@ class _Parser:
 
     def term(self) -> Element:
         e = self.factor()
-        while self.peek()[:2] == ("op", "*"):
-            self.take("op", "*")
+        while self.accept("*"):
             e = e * self.factor()
         return e
 
     def factor(self) -> Element:
         negate = False
-        while self.peek()[:2] == ("op", "-"):
-            self.take("op", "-")
+        while self.accept("-"):
             negate = not negate
         e = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            pos = self.take("op", "^")[2]
+        caret = self.accept("^")
+        if caret:
             k = self.signed_int()
             try:
                 e = e**k
             except ValueError as err:
-                raise ParseError(str(err), pos) from None
+                raise ParseError(str(err), caret[2]) from None
         return -e if negate else e
 
     def signed_int(self) -> int:
-        sign = 1
-        if self.peek()[:2] == ("op", "-"):
-            self.take("op", "-")
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         return sign * int(self.take("int")[1])
 
     def atom(self) -> Element:
-        kind, value, pos = self.peek()
+        kind, value, pos = self.take()
         if kind == "int":
-            self.take("int")
-            num = int(value)
-            if self.peek()[:2] == ("op", "/"):
-                self.take("op", "/")
+            if self.accept("/"):
                 dtok = self.take("int")
                 if int(dtok[1]) == 0:
                     raise ParseError("zero denominator", dtok[2])
-                return self.alg.scalar(Fraction(num, int(dtok[1])))
-            return self.alg.scalar(num)
-        if kind == "name":
-            self.take("name")
-            if value == "i":
-                return self.alg.scalar(I)
-            if value == "q":
-                return self.alg.scalar(Q)
-            if value == "a":
-                self.take("op", "[")
-                i = int(self.take("int")[1])
-                self.take("op", ",")
-                j = int(self.take("int")[1])
-                self.take("op", "]")
-                if not (1 <= i <= j <= self.alg.n):
-                    raise ParseError(f"generator a[{i},{j}] out of range for n={self.alg.n}", pos)
-                return self.alg.a(i, j)
-            if value == "det":
-                return qdet(self.alg)
-            if value == "t":
-                if not self.alg.localized:
-                    raise ParseError("t needs the localized algebra", pos)
-                return tgen(self.alg)
-            if value == "z":
-                if not self.alg.localized:
-                    raise ParseError("z needs the localized algebra", pos)
-                return self.alg.a(1, 1) * self.alg.a(2, 2).inverse()
-        if (kind, value) == ("op", "("):
+                return self.alg.scalar(Fraction(int(value), int(dtok[1])))
+            return self.alg.scalar(int(value))
+        if value in _NAMED:
+            if value in _LOCALIZED and not self.alg.localized:
+                raise ParseError(f"{value} needs the localized algebra", pos)
+            return _NAMED[value](self.alg)
+        if value == "a":
+            self.take("op", "[")
+            i = int(self.take("int")[1])
+            self.take("op", ",")
+            j = int(self.take("int")[1])
+            self.take("op", "]")
+            if not (1 <= i <= j <= self.alg.n):
+                raise ParseError(f"generator a[{i},{j}] out of range for n={self.alg.n}", pos)
+            return self.alg.a(i, j)
+        if value == "(":
             if self.depth == MAX_DEPTH:
                 raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
-            self.take("op", "(")
             self.depth += 1
             e = self.expr()
             self.take("op", ")")
@@ -187,10 +191,27 @@ class _Parser:
             return e
         raise ParseError(f"unexpected token {value!r}", pos)
 
+    def scalar(self) -> ScalarQ:
+        """An expression without generators, as a scalar."""
+        pos = self.peek()[2]
+        e = self.expr()
+        unit = e.algebra.unit_mono()
+        if any(mono != unit for mono in e.terms):
+            raise ParseError("expected a scalar expression without generators", pos)
+        return e.terms.get(unit, ZERO)
+
+    def sextuple(self) -> Sextuple:
+        entries = []
+        for sep, entry in zip("[,,,,,", (self.scalar,) * 3 + (self.signed_int,) * 3):
+            self.take("op", sep)
+            entries.append(entry())
+        self.take("op", "]")
+        return Sextuple(*entries)
+
 
 def parse(text: str, alg: TriangularAlgebra) -> Element:
     """Parse an expression into its normal form in ``alg``."""
-    return _Parser(text, alg).parse()
+    return _Parser(text, alg).read(_Parser.expr)
 
 
 def format_element(e: Element) -> str:
@@ -205,41 +226,13 @@ def format_tensor(te: TensorElement) -> str:
 
 def parse_scalar(text: str) -> ScalarQ:
     """Parse a generator-free expression into a scalar."""
-    e = _Parser(text, build(2, True)).parse()
-    unit = e.algebra.unit_mono()
-    if any(mono != unit for mono in e.terms):
-        raise ParseError("expected a scalar expression without generators", 0)
-    return e.terms.get(unit, ZERO)
+    return _Parser(text, build(2, True)).read(_Parser.scalar)
 
 
 def parse_sextuple(text: str) -> Sextuple:
     """Parse ``[l12,l11,l22,j,k,l]`` with scalars in the coefficient text
-    format."""
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ParseError("sextuple must be wrapped in [..]", 0)
-    parts = []
-    depth = 0
-    cur = []
-    for ch in body[1:-1]:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        cur.append(ch)
-    parts.append("".join(cur))
-    if len(parts) != 6:
-        raise ParseError(f"sextuple needs 6 entries, got {len(parts)}", 0)
-    scalars = [parse_scalar(p) for p in parts[:3]]
-    try:
-        ints = [int(p.strip()) for p in parts[3:]]
-    except ValueError:
-        raise ParseError("the last three sextuple entries must be integers", 0) from None
-    return Sextuple(scalars[0], scalars[1], scalars[2], *ints)
+    format and integers j, k, l."""
+    return _Parser(text, build(2, True)).read(_Parser.sextuple)
 
 
 # -- commands -----------------------------------------------------------------

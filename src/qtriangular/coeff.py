@@ -212,11 +212,18 @@ def _term_text(c: GaussianRational, k: int):
         qtxt = "q"
     else:
         qtxt = f"q^{k}"
-    if not qtxt:
-        return neg, str(c)
-    if c == 1:
-        return neg, qtxt
-    return neg, f"{c}*{qtxt}"
+    return neg, _times(str(c), qtxt)
+
+
+def _times(ctxt: str, body: str) -> str:
+    """The text of a coefficient (text ``ctxt``) times ``body``: the
+    coefficient for an empty body, the body for the coefficient 1, else
+    ``ctxt*body``."""
+    if not body:
+        return ctxt
+    if ctxt == "1":
+        return body
+    return f"{ctxt}*{body}"
 
 
 def _join_signed(parts) -> str:

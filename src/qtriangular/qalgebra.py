@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import add, attrgetter, index, mul, neg
 
-from .coeff import ONE, ZERO, GaussianRational, ScalarQ, _add_into, _power, _SparseSum, _term_text, qpow
+from .coeff import ONE, ZERO, GaussianRational, ScalarQ, _add_into, _power, _SparseSum, _term_text, _times, qpow
 
 
 def _sgn(x: int) -> int:
@@ -304,13 +304,9 @@ def _scalar_times(c: ScalarQ, body: str):
     if len(c.terms) == 1:
         ((k, g),) = c.terms.items()
         neg, ctxt = _term_text(g, k)
-        if not body:
-            return neg, ctxt
-        if ctxt == "1":
-            return neg, body
-        return neg, f"{ctxt}*{body}"
-    ctxt = f"({c})"
-    return False, (f"{ctxt}*{body}" if body else ctxt)
+    else:
+        neg, ctxt = False, f"({c})"
+    return neg, _times(ctxt, body)
 
 
 class TensorSquare(_Presentation):

@@ -122,6 +122,26 @@ def test_parse_sextuple_roundtrip():
         parse_sextuple("[a[1,1],1,1,0,0,0]")
 
 
+def test_sextuple_errors_name_the_offending_token():
+    for text, pos in (("[1,1,1,0,0]", 10), ("[1,1,1,0,0,q]", 11), ("[a[1,1],1,1,0,0,0]", 1)):
+        with pytest.raises(ParseError) as info:
+            parse_sextuple(text)
+        assert info.value.pos == pos, text
+
+
+def test_sextuple_integers_follow_the_expression_grammar(capsys):
+    # j, k and l are the grammar's int := '-'? digits, so no '+' sign and no
+    # digit separator, and whitespace may follow the minus as in any expression
+    for text in ("[1,1,1,+1,0,0]", "[1,1,1,1_0,0,0]"):
+        assert main(["autos", "invert", text]) == 2, text
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), text
+    assert main(["autos", "invert", "[1,1,1,-1,0,0]"]) == 0
+    want = capsys.readouterr()
+    assert main(["autos", "invert", "[1,1,1,- 1,0,0]"]) == 0
+    assert capsys.readouterr() == want
+
+
 def test_cli_normalize_and_equal(capsys):
     assert main(["normalize", "a[2,2]*a[1,2]"]) == 0
     assert capsys.readouterr().out.strip() == "q*a[1,2]*a[2,2]"
@@ -226,6 +246,20 @@ def test_readme_examples(argv, expected, capsys):
     # each README line "qtriangular ARGS  # -> TEXT": TEXT is the first line printed
     main(argv)
     assert capsys.readouterr().out.splitlines()[0] == expected
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library sketch", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```python\n")[1:]
+    assert len(blocks) == 1
+    code = blocks[0].split("```", 1)[0]
+    src = str(Path(qtriangular.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_reports_parse_errors(capsys):
