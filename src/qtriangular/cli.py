@@ -129,10 +129,9 @@ class _Parser:
 
     def expr(self) -> Element:
         e = self.term()
-        while self.peek()[1] in ("+", "-") and self.peek()[0] == "op":
-            op = self.take("op")[1]
+        while op := self.accept("+") or self.accept("-"):
             rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
+            e = e + rhs if op[1] == "+" else e - rhs
         return e
 
     def term(self) -> Element:
@@ -269,17 +268,16 @@ def _cmd_equal(args) -> int:
 
 def _cmd_delta(args) -> int:
     te = coproduct(parse(args.expr, _algebra(args)))
-    payload = {
-        "tensor": format_tensor(te),
-        "terms": [[list(u), list(v), c.to_json()] for (u, v), c in sorted(te.terms.items())],
-    }
-    _emit(args, format_tensor(te), payload)
+    text = format_tensor(te)
+    terms = [[list(u), list(v), c.to_json()] for (u, v), c in sorted(te.terms.items())]
+    _emit(args, text, {"tensor": text, "terms": terms})
     return 0
 
 
 def _cmd_counit(args) -> int:
     s = counit(parse(args.expr, _algebra(args)))
-    _emit(args, str(s), {"scalar": str(s), "terms": s.to_json()})
+    text = str(s)
+    _emit(args, text, {"scalar": text, "terms": s.to_json()})
     return 0
 
 
@@ -290,15 +288,7 @@ def _cmd_b(args) -> int:
 def _cmd_center(args) -> int:
     lat = center_lattice(_algebra(args))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "kernel_basis": [list(v) for v in lat.kernel_basis],
-                    "generators": [list(v) for v in lat.generators],
-                    "violations": [list(v) for v in lat.violations],
-                }
-            )
-        )
+        print(json.dumps(lat._asdict()))
         return 0
     if not lat.generators:
         print("Z = K (no central monomials beyond scalars)")
@@ -324,10 +314,7 @@ def _cmd_check(args) -> int:
         for name in names
     ]
     if args.json:
-        print(json.dumps([
-            {"name": r.name, "n": r.n, "passed": r.passed, "witness": r.witness}
-            for r in reports
-        ]))
+        print(json.dumps([r._asdict() for r in reports]))
     else:
         for rep in reports:
             print(rep.line())

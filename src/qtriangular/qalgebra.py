@@ -222,12 +222,8 @@ class Element(_SparseSum):
 
     def scale(self, c) -> "Element":
         c = ScalarQ.coerce(c)
-        out = {}
-        for mono, s in self.terms.items():
-            p = s * c
-            if p:
-                out[mono] = p
-        return self._new(out)
+        # Q(i)[q, q^-1] has no zero divisors, so a nonzero c zeroes no term
+        return self._new({mono: s * c for mono, s in self.terms.items()} if c else {})
 
     def __mul__(self, other):
         s = ScalarQ._coerce(other)
@@ -447,6 +443,19 @@ def q_relation(y: Element, z: Element, m: int, dy, dz):
     return y * z, (z * y).scale(qpow(m))
 
 
+def _image_tuple(images, source: QAlgebra):
+    """``(images, target)``: the images as a tuple, one per generator of
+    ``source``, and the one algebra they all live in (``source`` if none)."""
+    images = tuple(images)
+    if len(images) != source.ngens:
+        raise ValueError("one image per generator required")
+    target = images[0].algebra if images else source
+    for img in images:
+        if img.algebra is not target:
+            raise ValueError("images must live in a single target algebra")
+    return images, target
+
+
 def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     """Whether a tuple of images (one per generator) satisfies the defining
     relations of ``algebra`` in its target, i.e. encodes an algebra morphism.
@@ -463,14 +472,9 @@ def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     once per image, and by products only for a relation the degrees reject
     or in a target without a grading (such as ``SCALARS``).
     """
-    images = list(images)
-    if len(images) != algebra.ngens:
-        raise ValueError("one image per generator required")
+    images, target = _image_tuple(images, algebra)
     sign = -1 if opposite else 1
-    # degrees only within one target; a stray image takes the product path,
-    # which rejects mixed algebras
-    target = images[0].algebra if images else None
-    degrees = [term_degrees(img) if img.algebra is target else None for img in images]
+    degrees = [term_degrees(img) for img in images]
     vectors = [None if d is None else [target.degree_vector(x) for x in d] for d in degrees]
     duals = [None if d is None else [target.degree_dual(x) for x in d] for d in degrees]
     for a in range(algebra.ngens):
@@ -504,13 +508,7 @@ class MorphismSpec:
     __slots__ = ("source", "target", "images", "antimorphism", "antilinear", "_unit", "_powers")
 
     def __init__(self, source: QAlgebra, images, *, antimorphism=False, antilinear=False, check=True):
-        images = tuple(images)
-        if len(images) != source.ngens:
-            raise ValueError("one image per generator required")
-        target = images[0].algebra if images else source
-        for img in images:
-            if img.algebra is not target:
-                raise ValueError("images must live in a single target algebra")
+        images, target = _image_tuple(images, source)
         self.source = source
         self.target = target
         self.images = images
@@ -591,8 +589,11 @@ class _Record:
     def __hash__(self):
         return hash(self._fields(self))
 
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self._fields(self)))
+
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        body = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__name__}({body})"
 
     def __reduce__(self):

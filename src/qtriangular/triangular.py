@@ -34,7 +34,7 @@ class TriangularAlgebra(QAlgebra):
     intervals and the commuting pattern); ``tests/test_triangular.py``
     matches it against them for every pair at n = 2..8."""
 
-    __slots__ = ("n", "localized", "_index", "gen_pairs", "_marginal_slots")
+    __slots__ = ("n", "localized", "_index", "gen_pairs")
 
     def __init__(self, n: int, localized: bool):
         if n < 2:
@@ -48,8 +48,6 @@ class TriangularAlgebra(QAlgebra):
         self.localized = bool(localized)
         self._index = {pair: g for g, pair in enumerate(pairs)}
         self.gen_pairs = tuple(pairs)
-        # the 0-based (row, column) of each generator, read by ``degree``
-        self._marginal_slots = tuple((i - 1, j - 1) for i, j in pairs)
 
     def gen_index(self, i: int, j: int) -> int:
         try:
@@ -83,11 +81,11 @@ class TriangularAlgebra(QAlgebra):
         """
         rows = [0] * self.n
         cols = [0] * self.n
-        slots = self._marginal_slots
+        pairs = self.gen_pairs
         for g in compress(range(len(mono)), mono):
-            i, j = slots[g]
-            rows[i] += mono[g]
-            cols[j] += mono[g]
+            i, j = pairs[g]
+            rows[i - 1] += mono[g]
+            cols[j - 1] += mono[g]
         return tuple(rows), tuple(cols)
 
     def degree_vector(self, d) -> tuple:

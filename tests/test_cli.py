@@ -455,3 +455,26 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "q*a[1,2]*a[2,2]"
     assert proc.stderr == ""
+
+
+def test_center_json_bytes(capsys):
+    assert main(["--localized", "--json", "center"]) == 0
+    assert capsys.readouterr().out == (
+        '{"kernel_basis": [[1, 0, -1]], "generators": [[1, 0, -1]], "violations": []}\n'
+    )
+    assert main(["--n", "3", "--localized", "--json", "center"]) == 0
+    assert capsys.readouterr().out == (
+        '{"kernel_basis": [[1, 0, 0, -1, 0, 1], [0, 1, -1, -1, 1, 0]], '
+        '"generators": [[1, 0, 0, -1, 0, 1]], "violations": [[0, 1, -1, -1, 1, 0]]}\n'
+    )
+
+
+def test_failing_check_json_bytes(capsys, monkeypatch):
+    witness = ("Delta(a[1,1]) is multiplicative", "a[1,1]", "0")
+    monkeypatch.setitem(structure.SUITES, "bialgebra",
+                        lambda n, seed: structure.CheckReport("bialgebra", n, False, witness))
+    assert main(["--json", "check", "bialgebra"]) == 1
+    assert capsys.readouterr().out == (
+        '[{"name": "bialgebra", "n": 2, "passed": false, '
+        '"witness": ["Delta(a[1,1]) is multiplicative", "a[1,1]", "0"]}]\n'
+    )

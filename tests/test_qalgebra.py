@@ -404,3 +404,50 @@ def test_inverse_self_check_survives_optimize():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+def test_is_point_rejects_a_mixed_target_tuple():
+    # a[1,1]'s image is not a unit, but the stray target is refused first
+    ut = build(2, True)
+    with pytest.raises(ValueError, match="single target algebra"):
+        is_point([ut.a(1, 2), build(3, True).a(1, 1), ut.a(2, 2)], ut)
+
+
+def test_morphism_spec_and_is_point_share_the_image_tuple_errors():
+    T2, T3 = build(2), build(3)
+    bad = {
+        "one image per generator required": [T2.a(1, 1), T2.a(2, 2)],
+        "images must live in a single target algebra": [T2.a(1, 1), T3.a(1, 2), T2.a(2, 2)],
+    }
+    for message, images in bad.items():
+        for check in (lambda: MorphismSpec(T2, images), lambda: is_point(images, T2)):
+            with pytest.raises(ValueError) as info:
+                check()
+            assert str(info.value) == message
+
+
+def _scale_samples():
+    rng = random.Random(29)
+    for n, localized in ((2, False), (2, True), (3, True)):
+        alg = build(n, localized)
+        e = random_element(alg, rng)
+        yield e
+        yield TensorElement.of(e, random_element(alg, rng))
+
+
+def test_scale_by_zero_is_the_zero_of_the_same_type():
+    for e in _scale_samples():
+        assert e.terms
+        for zero in (0, GaussianRational(0, 0), qpow(3) - qpow(3)):
+            z = e.scale(zero)
+            assert type(z) is type(e) and z.algebra is e.algebra
+            assert z.terms == {} and z == e.algebra.zero()
+
+
+def test_scale_by_a_nonzero_multiterm_scalar_keeps_every_key():
+    i = qpow(0, GaussianRational(0, 1))
+    for c in (ONE + qpow(1), i - qpow(2)):
+        for e in _scale_samples():
+            scaled = e.scale(c)
+            assert type(scaled) is type(e)
+            assert scaled.terms == {mono: s * c for mono, s in e.terms.items()}
