@@ -6,9 +6,15 @@ Grammar (whitespace insensitive, explicit '*' only):
     expr   := term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := atom ('^' int)? | '-' factor
-    atom   := rational | 'i' | 'q' | 'a' '[' digits ',' digits ']'
-            | 't' | 'det' | 'z' | '(' expr ')'
+    atom   := rational | 'i' | 'q' | gen | 't' | 'det' | 'z' | '(' expr ')'
+    gen    := 'a' '[' digits ',' digits ']'
     int    := '-'? digits
+
+A whole ``gen``, whitespace inside its brackets included, is one token; an
+'a' that does not start one is read part by part, so the error names the
+first wrong part and its position.  A subexpression built from rationals,
+'i' and 'q' alone is computed as a ``ScalarQ`` (Laurent arithmetic); it
+becomes an ``Element`` where it meets one, or at the end of ``parse``.
 
 A sextuple ``autos`` argument is read by the same grammar, its first three
 entries as expressions without generators:
@@ -55,6 +61,10 @@ MAX_N = 50
 #: --n 13 on a 2-core Xeon, Python 3.11), which would allow 11; it stays 10
 #: because the same gate covers ``check``, whose star suite takes 8 s at n = 10
 MAX_CHAIN = 10
+#: largest --n for ``center``, whose Hermite normal form costs O(N^3) with
+#: N = n(n+1)/2; as a subprocess (2-core Xeon, Python 3.11) --n 24 center
+#: answered in 0.73-0.92 s plain, localized or --json, and --n 25 in up to 1.09 s
+MAX_CENTER = 24
 
 
 class ParseError(ValueError):
@@ -65,27 +75,37 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(det|[aiqtz])|([-+*^/()\[\],])|(\S))")
-_KINDS = ("int", "name", "op")
+_TOKEN = re.compile(
+    r"\s*(?:(?P<gen>a\s*\[\s*(\d+)\s*,\s*(\d+)\s*\])|(?P<int>\d+)|(?P<name>det|[aiqtz])"
+    r"|(?P<op>[-+*^/()\[\],])|(?P<bad>\S))"
+)
 
 
 def _tokenize(text: str):
-    """(kind, text, position) triples, ending with an "end" token.  An
-    unknown character is reported at the start of the whitespace before it."""
+    """(kind, text, position, indices) tuples, ending with an "end" token.
+    A generator ``a[i,j]`` is one "gen" token whose text is "a" and whose
+    indices are the two digit strings; every other token has indices None.
+    An unknown character is reported at the start of the whitespace before
+    it."""
     tokens = []
     for m in _TOKEN.finditer(text):
-        g = m.lastindex
-        if g == 4:
-            raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
-        tokens.append((_KINDS[g - 1], m.group(g), m.start(g)))
-    tokens.append(("end", "", len(text)))
+        kind = m.lastgroup
+        if kind == "gen":
+            tokens.append((kind, "a", m.start(kind), m.group(2, 3)))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start())
+        else:
+            tokens.append((kind, m.group(kind), m.start(kind), None))
+    tokens.append(("end", "", len(text), None))
     return tokens
 
 
+_I = ScalarQ.constant(I)
+
 #: the named atoms; ``t`` and ``z`` need the localized algebra
 _NAMED = {
-    "i": lambda alg: alg.scalar(I),
-    "q": lambda alg: alg.scalar(Q),
+    "i": lambda alg: _I,
+    "q": lambda alg: Q,
     "det": qdet,
     "t": tgen,
     "z": lambda alg: alg.a(1, 1) * alg.a(2, 2).inverse(),
@@ -94,6 +114,11 @@ _LOCALIZED = ("t", "z")
 
 
 class _Parser:
+    """Each production returns its value in the smallest structure that
+    holds it: a ``ScalarQ`` for text without generators and without
+    ``det``, ``t`` or ``z``, else an ``Element``.  Scalars meet elements
+    through ``Element``'s own mixed arithmetic, which coerces or scales."""
+
     def __init__(self, text: str, alg: TriangularAlgebra):
         self.alg = alg
         self.tokens = _tokenize(text)
@@ -127,20 +152,20 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return value
 
-    def expr(self) -> Element:
+    def expr(self) -> Element | ScalarQ:
         e = self.term()
         while op := self.accept("+") or self.accept("-"):
             rhs = self.term()
             e = e + rhs if op[1] == "+" else e - rhs
         return e
 
-    def term(self) -> Element:
+    def term(self) -> Element | ScalarQ:
         e = self.factor()
         while self.accept("*"):
             e = e * self.factor()
         return e
 
-    def factor(self) -> Element:
+    def factor(self) -> Element | ScalarQ:
         negate = False
         while self.accept("-"):
             negate = not negate
@@ -148,38 +173,42 @@ class _Parser:
         caret = self.accept("^")
         if caret:
             k = self.signed_int()
-            try:
-                e = e**k
-            except ValueError as err:
-                raise ParseError(str(err), caret[2]) from None
+            if k < 0 and not e.is_unit:
+                raise ParseError("element is not a unit", caret[2])
+            e = e**k
         return -e if negate else e
 
     def signed_int(self) -> int:
         sign = -1 if self.accept("-") else 1
         return sign * int(self.take("int")[1])
 
-    def atom(self) -> Element:
-        kind, value, pos = self.take()
+    def atom(self) -> Element | ScalarQ:
+        kind, value, pos, indices = self.take()
+        if kind == "gen":
+            i, j = map(int, indices)
+            if not (1 <= i <= j <= self.alg.n):
+                raise ParseError(f"generator a[{i},{j}] out of range for n={self.alg.n}", pos)
+            return self.alg.a(i, j)
         if kind == "int":
             if self.accept("/"):
                 dtok = self.take("int")
                 if int(dtok[1]) == 0:
                     raise ParseError("zero denominator", dtok[2])
-                return self.alg.scalar(Fraction(int(value), int(dtok[1])))
-            return self.alg.scalar(int(value))
+                return ScalarQ.constant(Fraction(int(value), int(dtok[1])))
+            return ScalarQ.constant(int(value))
         if value in _NAMED:
             if value in _LOCALIZED and not self.alg.localized:
                 raise ParseError(f"{value} needs the localized algebra", pos)
             return _NAMED[value](self.alg)
         if value == "a":
+            # a malformed generator (a whole one is a "gen" token): take its
+            # parts one by one, reading digits as ``gen`` does, so that the
+            # first wrong part is reported where it stands
             self.take("op", "[")
-            i = int(self.take("int")[1])
+            int(self.take("int")[1])
             self.take("op", ",")
-            j = int(self.take("int")[1])
+            int(self.take("int")[1])
             self.take("op", "]")
-            if not (1 <= i <= j <= self.alg.n):
-                raise ParseError(f"generator a[{i},{j}] out of range for n={self.alg.n}", pos)
-            return self.alg.a(i, j)
         if value == "(":
             if self.depth == MAX_DEPTH:
                 raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
@@ -194,6 +223,8 @@ class _Parser:
         """An expression without generators, as a scalar."""
         pos = self.peek()[2]
         e = self.expr()
+        if isinstance(e, ScalarQ):
+            return e
         unit = e.algebra.unit_mono()
         if any(mono != unit for mono in e.terms):
             raise ParseError("expected a scalar expression without generators", pos)
@@ -210,7 +241,8 @@ class _Parser:
 
 def parse(text: str, alg: TriangularAlgebra) -> Element:
     """Parse an expression into its normal form in ``alg``."""
-    return _Parser(text, alg).read(_Parser.expr)
+    e = _Parser(text, alg).read(_Parser.expr)
+    return alg.scalar(e) if isinstance(e, ScalarQ) else e
 
 
 def format_element(e: Element) -> str:
@@ -440,6 +472,8 @@ def main(argv=None) -> int:
     try:
         if args.n > MAX_N:
             raise ValueError(f"--n {args.n} is above the largest supported size {MAX_N}")
+        if args.command == "center" and args.n > MAX_CENTER:
+            raise ValueError(f"center at --n {args.n} is above the largest supported size {MAX_CENTER}")
         # b builds its b[i,j]; antipode, star and check build antipode_spec, which needs b[1,n]
         i, j = (args.i, args.j) if args.command == "b" else (1, args.n)
         if args.command in ("b", "antipode", "star", "check") and 1 <= i < j <= args.n and j - i - 1 > MAX_CHAIN:

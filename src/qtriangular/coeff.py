@@ -289,7 +289,10 @@ class _SparseSum:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        return _power(self._one(), self if n >= 0 else self.inverse(), abs(n))
+        if n == 0:
+            return self._one()
+        # _power needs its ``one`` only for n == 0
+        return _power(None, self if n > 0 else self.inverse(), abs(n))
 
     def __str__(self):
         return _join_signed(self._term_strings()) if self.terms else "0"

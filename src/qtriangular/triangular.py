@@ -34,7 +34,7 @@ class TriangularAlgebra(QAlgebra):
     intervals and the commuting pattern); ``tests/test_triangular.py``
     matches it against them for every pair at n = 2..8."""
 
-    __slots__ = ("n", "localized", "_index", "gen_pairs")
+    __slots__ = ("n", "localized", "_index", "gen_pairs", "_gens")
 
     def __init__(self, n: int, localized: bool):
         if n < 2:
@@ -48,6 +48,7 @@ class TriangularAlgebra(QAlgebra):
         self.localized = bool(localized)
         self._index = {pair: g for g, pair in enumerate(pairs)}
         self.gen_pairs = tuple(pairs)
+        self._gens = {}
 
     def gen_index(self, i: int, j: int) -> int:
         try:
@@ -56,7 +57,13 @@ class TriangularAlgebra(QAlgebra):
             raise ValueError(f"no generator a[{i},{j}] for n={self.n}") from None
 
     def a(self, i: int, j: int) -> Element:
-        return self.gen(self.gen_index(i, j))
+        """The generator a[i,j], built on first use and shared after it:
+        elements are immutable (``_add_into`` only fills fresh zeros), and
+        two threads that both build it store equal values."""
+        gen = self._gens.get((i, j))
+        if gen is None:
+            gen = self._gens[i, j] = self.gen(self.gen_index(i, j))
+        return gen
 
     def degree(self, mono):
         """The torus degree of x^mono: its row and column marginals (R, C),

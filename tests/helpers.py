@@ -1,10 +1,12 @@
-"""Shared samplers for the randomized tests."""
+"""Shared samplers for the randomized tests, and a counter of ``Element``
+products and sums."""
 
 import random
 from fractions import Fraction
 
 from qtriangular.coeff import GaussianRational, I, ScalarQ, qpow
 from qtriangular.autos import Sextuple
+from qtriangular.qalgebra import Element
 
 UNIT_POOL = [
     ScalarQ.constant(1),
@@ -39,3 +41,17 @@ def random_hopf_sextuple(rng: random.Random, span: int = 3) -> Sextuple:
     one = ScalarQ.constant(1)
     j = rng.randint(-span, span)
     return Sextuple(random_unit(rng), one, one, j, j, -j)
+
+
+def count_element_ops(monkeypatch):
+    """A list that records every ``Element`` product and sum from now on."""
+    calls = []
+    for name in ("__mul__", "__add__"):
+        original = getattr(Element, name)
+
+        def counted(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Element, name, counted)
+    return calls

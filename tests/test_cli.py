@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -12,12 +13,13 @@ import pytest
 import qtriangular
 from qtriangular import cli, deriv, structure
 
-from helpers import random_sextuple, random_unit
+import parse_oracle
+from helpers import count_element_ops, random_sextuple, random_unit
 
 from qtriangular.cli import ParseError, format_element, main, parse, parse_scalar, parse_sextuple
-from qtriangular.coeff import GaussianRational, ScalarQ, qpow
-from qtriangular.qalgebra import random_element
-from qtriangular.triangular import antipode, b_element, build
+from qtriangular.coeff import ONE, GaussianRational, ScalarQ, qpow
+from qtriangular.qalgebra import Element, random_element
+from qtriangular.triangular import antipode, b_element, build, delta_spec, gamma_spec, rho_spec, sigma_spec
 
 
 T2 = build(2)
@@ -83,6 +85,109 @@ def test_parse_errors_have_positions():
             parse(text, T2)
         assert info.value.pos == pos
     assert parse("a[1,1]   ", T2) == T2.a(1, 1)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` with its type, or the type and text of the ValueError
+    (ParseError included) it raises."""
+    try:
+        value = fn(*args)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+    return type(value).__name__, value
+
+
+def _same_as_oracle(text, alg):
+    """Each public reader and its oracle give equal values of one type, or
+    identical error texts, on ``text``."""
+    assert _outcome(parse, text, alg) == _outcome(parse_oracle.parse, text, alg), text
+    assert _outcome(parse_scalar, text) == _outcome(parse_oracle.parse_scalar, text), text
+    assert _outcome(parse_sextuple, text) == _outcome(parse_oracle.parse_sextuple, text), text
+
+
+#: every malformed input of this file, and variants around the generator token
+#: and the scalar powers
+MALFORMED = (
+    "a[1,2]^-1", "t", "z", "a[2,1]", "a[1,3]", "a[9,9]", "q a[1,1]", "1/0", "(1+q", "@", "",
+    "a[1,1] @", "1 +", "a[1,1] - -", "a[1,1] ** 2", "(" * 101 + "1" + ")" * 101,
+    "[1,1,1,0,0]", "1,1,1,0,0,0", "[1,1,1,0,0,q]", "[a[1,1],1,1,0,0,0]",
+    "[1,1,1,+1,0,0]", "[1,1,1,1_0,0,0]", "[(1+q),1,1,0,0,0]", "[a[1,1]-a[1,1],1,1,0,0,0]",
+    "a [ 1 , 2 ]", "a[1, 2", "1/a[1,1]", "(1+q)^-1", "a", "a[", "a[1", "a[1,", "a[1 2]", "a[1,2]]",
+    "a(1,2)", "a[1,2,3]", "a[-1,2]", "a[1,2]a[1,1]", "qa[1,1]", "deta[1,1]", "a[01,2]", "a[1,1]^1.5",
+    "0^-1", "(q-q)^-1", "(a[1,1]-a[1,1])^-1", "i^-3", "(2*q)^-2", "det^-1", "t^-2", "z^-1",
+    "2*q^-2*(1+i)/3", "- -q^-2", "a[" + "1" * 5000 + ",1]", "a[1," + "1" * 5000, "q^" + "1" * 5000,
+)
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_parser_matches_the_oracle_on_malformed_input(text):
+    for alg in (T2, U2, build(3, True)):
+        _same_as_oracle(text, alg)
+        _same_as_oracle(f"[{text},1,1,0,0,0]", alg)
+
+
+def _workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_parser_matches_the_oracle_on_session_inputs(seed):
+    texts = 0
+    for query in _workloads().cli_session_queries(qtriangular, seed):
+        args = cli._build_parser().parse_args(query.argv)
+        alg = build(args.n, args.localized)
+        inputs = args.args if args.command == "autos" else (getattr(args, name, None) for name in ("expr", "lhs", "rhs"))
+        for text in filter(None, inputs):
+            _same_as_oracle(text, alg)
+            texts += 1
+    assert texts > 1500
+
+
+def test_a_generator_is_one_token_with_inner_whitespace(capsys):
+    assert [tok[:2] for tok in cli._tokenize("a [ 1 , 2 ]*a[1,1]")] == [
+        ("gen", "a"), ("op", "*"), ("gen", "a"), ("end", "")]
+    assert parse("a [ 1 , 2 ]*a[1,1]", T2) == T2.a(1, 2) * T2.a(1, 1)
+    assert main(["normalize", "a [ 1 , 2 ]*a[1,1]"]) == 0
+    assert capsys.readouterr().out == "q^-1*a[1,1]*a[1,2]\n"
+
+
+def test_scalar_text_makes_no_element_product(monkeypatch, capsys):
+    calls = count_element_ops(monkeypatch)
+    # '/' divides integers only, so this stops at the '/' after the group
+    with pytest.raises(ParseError, match="unexpected trailing input '/'"):
+        parse("2*q^-2*(1+i)/3", T2)
+    want = qpow(-2, GaussianRational(2, 2) / 3)
+    assert parse_scalar("2*q^-2*(1+i)*1/3") == want
+    assert parse("2*q^-2*(1+i)*1/3", T2) == T2.scalar(want)
+    assert parse_sextuple("[2*q^-2*(1+i)*1/3,q,-i,1,2,3]").l12 == want
+    assert main(["normalize", "a[1,2]"]) == 0
+    assert capsys.readouterr().out == "a[1,2]\n"
+    assert calls == []
+    # the counters do see products and sums
+    parse("a[1,1]*a[1,2] + 1", T2)
+    assert calls == ["__mul__", "__add__"]
+
+
+def test_check_all_leaves_the_cached_generators_intact(capsys):
+    assert main(["--n", "3", "check", "all"]) == 0
+    assert main(["--n", "3", "--localized", "antipode", "a[1,3]*a[2,2]^-1"]) == 0
+    capsys.readouterr()
+    for localized in (False, True):
+        alg = build(3, localized)
+        # γ's images are the cached generators themselves
+        total = sum(alg.a(i, j) for i, j in alg.gen_pairs)
+        for spec in (delta_spec(alg), rho_spec(alg), gamma_spec(alg), sigma_spec(alg)):
+            spec(total)
+        for g, (i, j) in enumerate(alg.gen_pairs):
+            cached = alg.a(i, j)
+            assert cached is alg.a(i, j)
+            assert type(cached) is Element and cached.algebra is alg
+            assert cached.terms == alg.gen(g).terms
+            assert list(cached.terms.values()) == [ONE]
 
 
 def test_roundtrip_seeded():
@@ -326,6 +431,18 @@ def test_n_above_max_n_exits_2_before_any_algebra(capsys, no_build):
     # the ceiling itself passes the guard and reaches the algebra
     with pytest.raises(Built):
         main(["--n", str(cli.MAX_N), "normalize", "a[1,1]"])
+
+
+def test_center_above_max_center_exits_2_before_any_algebra(capsys, no_build):
+    cap = cli.MAX_CENTER
+    for argv in (["--n", str(cap + 1), "center"], ["--n", "50", "--localized", "--json", "center"]):
+        n = argv[1]
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: center at --n {n} is above the largest supported size {cap}\n")
+    # the ceiling itself, and other commands above it, reach the algebra
+    for argv in (["--n", str(cap), "center"], ["--n", str(cap + 1), "normalize", "a[1,1]"]):
+        with pytest.raises(Built):
+            main(argv)
 
 
 def test_chain_sums_above_max_chain_exit_2_before_any_algebra(capsys, no_build):

@@ -3,10 +3,11 @@ from itertools import combinations, permutations
 
 import pytest
 
+from helpers import count_element_ops
+
 from qtriangular.coeff import GaussianRational, I, ONE, ScalarQ, qpow
 from qtriangular.qalgebra import (
     SCALARS,
-    Element,
     MorphismSpec,
     TensorElement,
     is_point,
@@ -361,22 +362,8 @@ def test_qdet_is_the_diagonal_product(n, localized):
     assert str(qdet(alg)) == str(expected)
 
 
-def _count_element_ops(monkeypatch):
-    """A list that records every ``Element`` product and sum from now on."""
-    calls = []
-    for name in ("__mul__", "__add__"):
-        original = getattr(Element, name)
-
-        def counted(self, other, original=original, name=name):
-            calls.append(name)
-            return original(self, other)
-
-        monkeypatch.setattr(Element, name, counted)
-    return calls
-
-
 def test_b_element_and_qdet_make_no_element_product_or_sum(monkeypatch):
-    calls = _count_element_ops(monkeypatch)
+    calls = count_element_ops(monkeypatch)
     for n in range(2, 7):
         for localized in (False, True):
             alg = build(n, localized)
@@ -392,7 +379,7 @@ def test_b_element_and_qdet_make_no_element_product_or_sum(monkeypatch):
 def test_star_spec_makes_no_element_product_or_sum(monkeypatch):
     for n in range(2, 8):
         antipode_spec(build(n, True))
-    calls = _count_element_ops(monkeypatch)
+    calls = count_element_ops(monkeypatch)
     for n in range(2, 8):
         star_spec.__wrapped__(build(n, True))
     assert calls == []
