@@ -14,7 +14,10 @@ A whole ``gen``, whitespace inside its brackets included, is one token; an
 'a' that does not start one is read part by part, so the error names the
 first wrong part and its position.  A subexpression built from rationals,
 'i' and 'q' alone is computed as a ``ScalarQ`` (Laurent arithmetic); it
-becomes an ``Element`` where it meets one, or at the end of ``parse``.
+becomes an ``Element`` where it meets one, or at the end of ``parse``.  A
+product of scalars, generator powers and other one-term factors is folded
+into one coefficient and one monomial; only a factor of several terms
+makes an ``Element`` product.
 
 A sextuple ``autos`` argument is read by the same grammar, its first three
 entries as expressions without generators:
@@ -23,6 +26,12 @@ entries as expressions without generators:
 
 ``t`` and ``z`` (= a[1,1]*a[2,2]^-1) need the localized algebra; ``det`` is
 always available.  Formatting is canonical, so parse(format(e)) == e.
+
+``main`` reads an argv of the plain shape (global flags, each a whole
+token, then a command with exactly its positionals) with ``_read_argv``,
+which builds argparse's ``Namespace`` from a table read off the argparse
+tree; every other argv, and so every usage, help and error text, goes to
+argparse.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import I, Q, ZERO, ScalarQ
+from .coeff import I, ONE, Q, ZERO, ScalarQ
 from .qalgebra import Element, TensorElement, center_lattice
 from .triangular import (
     TriangularAlgebra,
@@ -65,6 +74,10 @@ MAX_CHAIN = 10
 #: N = n(n+1)/2; as a subprocess (2-core Xeon, Python 3.11) --n 24 center
 #: answered in 0.73-0.92 s plain, localized or --json, and --n 25 in up to 1.09 s
 MAX_CENTER = 24
+#: largest ``derivations classify --bound``, whose sweep has 3 (bound + 1)^3
+#: rows; as a subprocess (2-core Xeon, Python 3.11) --bound 14 answered in
+#: 0.67-1.00 s plain or --json, 15 in up to 1.15 s and 16 in up to 1.46 s
+MAX_BOUND = 14
 
 
 class ParseError(ValueError):
@@ -160,10 +173,40 @@ class _Parser:
         return e
 
     def term(self) -> Element | ScalarQ:
-        e = self.factor()
-        while self.accept("*"):
-            e = e * self.factor()
-        return e
+        """A product, held as e * c * x^mono: e an ``Element`` or None (1),
+        c a ``ScalarQ`` and mono an exponent tuple or None (no generator
+        yet).  A scalar factor multiplies c, and a one-term factor s * x^m
+        folds into c and mono through ``monomial_mul``; only a factor of
+        more terms makes an ``Element`` product, after the pending c * x^mono
+        joins e."""
+        e, c, mono = None, ONE, None
+        while True:
+            f = self.factor()
+            if isinstance(f, ScalarQ):
+                s = f
+            elif len(f.terms) == 1:
+                ((m, s),) = f.terms.items()
+                if mono is None:
+                    mono = m
+                else:
+                    w, mono = self.alg.monomial_mul(mono, m)
+                    c = c.q_shift(w)
+            else:
+                e = self.folded(e, c, mono)
+                e = f if e is ONE else e * f
+                c, mono, s = ONE, None, ONE
+            # s is the factor's coefficient; a generator's is ONE itself
+            if s is not ONE:
+                c = s if c is ONE else c * s
+            if not self.accept("*"):
+                return self.folded(e, c, mono)
+
+    def folded(self, e, c: ScalarQ, mono):
+        """e * c * x^mono, where e None stands for 1 and mono None for the
+        unit monomial: c itself when both are None."""
+        if mono is not None:
+            c = self.alg.term(mono, c)
+        return c if e is None else e if c is ONE else e * c
 
     def factor(self) -> Element | ScalarQ:
         negate = False
@@ -175,8 +218,19 @@ class _Parser:
             k = self.signed_int()
             if k < 0 and not e.is_unit:
                 raise ParseError("element is not a unit", caret[2])
-            e = e**k
+            e = self.power(e, k)
         return -e if negate else e
+
+    def power(self, e: Element | ScalarQ, k: int) -> Element | ScalarQ:
+        """e^k; a one-term element s * x^m gives s^k * q^(w*k*(k-1)/2) * x^(k*m)
+        with x^m * x^m = q^w * x^(2m), which needs no ``Element`` product.
+        A negative k needs e to be a unit."""
+        if isinstance(e, ScalarQ) or len(e.terms) != 1:
+            return e**k
+        ((m, s),) = e.terms.items()
+        w, _ = self.alg.monomial_mul(m, m)
+        s = s if s is ONE else s**k
+        return self.alg.term(tuple(k * x for x in m), s.q_shift(w * k * (k - 1) // 2))
 
     def signed_int(self) -> int:
         sign = -1 if self.accept("-") else 1
@@ -466,14 +520,97 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@lru_cache(maxsize=None)
+def _argv_table():
+    """What ``_read_argv`` needs, read off ``_build_parser()``'s tree: the
+    global flags by option string, the top-level defaults, the command's
+    destination, and per command its positionals, the least and most
+    tokens they take, and its own defaults.  A command whose positionals
+    are not single tokens followed by at most one ``*`` or ``+`` list is
+    left out, so argparse reads it."""
+
+    def defaults(actions):
+        """The values argparse puts in the namespace before reading a token."""
+        return {a.dest: a.default for a in actions
+                if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+
+    top = _build_parser()
+    flags = {opt: a for a in top._actions for opt in a.option_strings if a.default is not argparse.SUPPRESS}
+    (sub,) = top._get_positional_actions()  # the command
+    commands = {}
+    for name, p in sub.choices.items():
+        positionals = [a for a in p._actions if not a.option_strings]
+        shape = [a.nargs for a in positionals]
+        if any(shape[:-1]) or shape[-1:] not in ([], [None], ["*"], ["+"]):
+            continue
+        least = len(shape) - (shape[-1:] == ["*"])
+        most = len(shape) if shape[-1:] in ([], [None]) else sys.maxsize
+        own = defaults(a for a in p._actions if a.option_strings)
+        commands[name] = (positionals, least, most, {**own, **p._defaults})
+    return flags, defaults(top._actions), sub.dest, commands
+
+
+_REJECT = object()
+
+
+def _value(action, token: str):
+    """``token`` as argparse would store it for ``action``, or ``_REJECT``
+    where argparse might read it otherwise: as an option (a leading '-',
+    except the "- " of a printed normal form, which argparse always reads
+    as a positional), or as a type or choice error."""
+    if token.startswith("-") and not token.startswith("- "):
+        return _REJECT
+    try:
+        value = token if action.type is None else action.type(token)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return _REJECT
+    return value if action.choices is None or value in action.choices else _REJECT
+
+
+def _read_argv(argv):
+    """The ``Namespace`` that ``_build_parser().parse_args(argv)`` builds,
+    for an argv of the plain shape: global flags, each a whole token, then
+    a command with exactly as many positionals as it takes.  None for any
+    other argv, which then goes to argparse, so that every usage, help and
+    error text stays argparse's."""
+    flags, values, dest, commands = _argv_table()
+    values = dict(values)
+    k = 0
+    while k < len(argv) and argv[k] in flags:
+        action = flags[argv[k]]
+        if action.nargs == 0:
+            value, k = action.const, k + 1
+        else:
+            value, k = _value(action, argv[k + 1]) if k + 1 < len(argv) else _REJECT, k + 2
+            if value is _REJECT:
+                return None
+        values[action.dest] = value
+    if k == len(argv) or argv[k] not in commands:
+        return None
+    positionals, least, most, own = commands[argv[k]]
+    tokens = argv[k + 1:]
+    if not least <= len(tokens) <= most:
+        return None
+    values[dest] = argv[k]
+    values.update(own)
+    for at, action in enumerate(positionals):
+        items = [_value(action, t) for t in (tokens[at:] if action.nargs else tokens[at:at + 1])]
+        if _REJECT in items:
+            return None
+        values[action.dest] = items if action.nargs else items[0]
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         if args.n > MAX_N:
             raise ValueError(f"--n {args.n} is above the largest supported size {MAX_N}")
         if args.command == "center" and args.n > MAX_CENTER:
             raise ValueError(f"center at --n {args.n} is above the largest supported size {MAX_CENTER}")
+        if args.command == "derivations" and args.action == "classify" and args.bound > MAX_BOUND:
+            raise ValueError(f"classify --bound {args.bound} is above the largest supported bound {MAX_BOUND}")
         # b builds its b[i,j]; antipode, star and check build antipode_spec, which needs b[1,n]
         i, j = (args.i, args.j) if args.command == "b" else (1, args.n)
         if args.command in ("b", "antipode", "star", "check") and 1 <= i < j <= args.n and j - i - 1 > MAX_CHAIN:

@@ -126,6 +126,15 @@ def test_parser_matches_the_oracle_on_malformed_input(text):
         _same_as_oracle(f"[{text},1,1,0,0,0]", alg)
 
 
+@pytest.mark.parametrize("text", [
+    "(a[1,1]*a[1,2])^3", "(2*q*a[1,2]*a[1,1])^2*a[1,1]", "(i*a[2,2]*a[1,2]*a[1,1]^2)^5", "(a[1,2]*a[1,1])^0",
+    "(q^2*a[1,1]*a[2,2]^-1)^-3", "(-a[1,2])^3*(-a[1,1])^-1", "a[1,2]^2*a[1,1]^3*a[1,2]*(a[1,1]+a[1,2])*a[1,1]",
+])
+def test_one_term_products_and_powers_match_the_oracle(text):
+    for alg in (T2, U2, build(3, True)):
+        _same_as_oracle(text, alg)
+
+
 def _workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -166,10 +175,13 @@ def test_scalar_text_makes_no_element_product(monkeypatch, capsys):
     assert parse_sextuple("[2*q^-2*(1+i)*1/3,q,-i,1,2,3]").l12 == want
     assert main(["normalize", "a[1,2]"]) == 0
     assert capsys.readouterr().out == "a[1,2]\n"
+    # a product of scalars and generator powers folds into one monomial
+    assert parse("3*q^-1*a[1,1]^2*a[1,2]*a[2,2]^-1", U2) == U2.monomial((2, 1, -1), qpow(-1, 3))
+    assert parse("(q*a[1,2])^3*a[1,1]^-2", U2) == U2.monomial((-2, 3, 0), qpow(9))
     assert calls == []
     # the counters do see products and sums
-    parse("a[1,1]*a[1,2] + 1", T2)
-    assert calls == ["__mul__", "__add__"]
+    parse("(a[1,1]+1)*a[1,2] + 1", T2)
+    assert calls == ["__add__", "__mul__", "__add__"]
 
 
 def test_check_all_leaves_the_cached_generators_intact(capsys):
@@ -510,6 +522,79 @@ def test_help_and_usage_errors_repeat_identically(capsys, argv, code):
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
     assert (outputs[0].out if code == 0 else outputs[0].err).startswith("usage: qtriangular")
+
+
+#: argvs near the shapes the fast argv reader takes, each of which it must
+#: either read as argparse does or leave to argparse
+NEAR_MISS_ARGVS = (
+    "--n=3", "--loc", "-h", "--n -3", "--seed x", "--", "normalize -a[1,2]", 'normalize "- a[1,2]"',
+    "normalize --json x", "b 1", "b 1 x", "center extra", "autos frob [1,1,1,0,0,0]", "autos invert",
+    "equal x", "--n=3 normalize a[1,3]", "--loc normalize a[1,1]", "--n -3 normalize a[1,1]",
+    "--n +3 normalize a[1,3]", "--n ' 3' normalize a[1,3]", "--n 3 --n 2 normalize a[1,2]",
+    "--json --json normalize q", "--seed 9 normalize q", "--seed", "--n", "normalize", "normalize ''",
+    "normalize -", "normalize -1", "b -1 2", "--n 3 b 1 3", "b 1 2 3", "b x 2", 'equal "- a[1,2]" -a[1,2]',
+    'equal "- a[1,2]" "- a[1,2]"', "normalize a[1,1] --json", "normalize -- a[1,1]", "--n 3 -- normalize a[1,1]",
+    "check", "check star bialgebra", "check --json", "derivations", "derivations frob", "derivations check-table x",
+    "derivations classify --bound 0", "autos compose [1,1,1,1,0,0]", "autos compose [1,1,1,1,0,0] [1,1,1,0,1,0]",
+    "autos is-hopf [q,1,1,2,2,-2]", "autos decompose '[1,1,1,- 1,0,0]'", "frob", "", "--json",
+    "--localized --json star a[1,1]", "--localized star '- a[1,1]'", "counit a[1,1] a[2,2]", "delta",
+)
+
+
+def test_argv_reader_matches_argparse():
+    read = 0
+    workloads = _workloads()
+    argvs = [query.argv for seed in (0, 1, 2) for query in workloads.cli_session_queries(qtriangular, seed)]
+    argvs += [shlex.split(line) for line in NEAR_MISS_ARGVS]
+    for argv in argvs:
+        args = cli._read_argv(argv)
+        if args is not None:
+            assert args == cli._build_parser().parse_args(argv), argv
+            read += 1
+    # nearly every session argv takes the reader
+    assert read > 0.99 * (len(argvs) - len(NEAR_MISS_ARGVS))
+
+
+def _main_outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("line", NEAR_MISS_ARGVS)
+def test_near_miss_argvs_behave_as_under_argparse(line, capsys, monkeypatch):
+    argv = shlex.split(line)
+    fast = _main_outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert _main_outcome(argv, capsys) == fast
+
+
+def test_main_reads_sys_argv_through_the_reader(capsys, monkeypatch):
+    seen = []
+    read = cli._read_argv
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: seen.append(list(argv)) or read(argv))
+    monkeypatch.setattr(sys, "argv", ["qtriangular", "--n", "3", "normalize", "a[2,2]*a[1,2]"])
+    assert main() == 0
+    assert capsys.readouterr().out == "q*a[1,2]*a[2,2]\n"
+    assert seen == [["--n", "3", "normalize", "a[2,2]*a[1,2]"]]
+
+
+def test_classify_above_max_bound_exits_2_before_the_sweep(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "classify_T2", lambda bound: calls.append(bound) or [])
+    cap = cli.MAX_BOUND
+    for argv in (["derivations", "classify", "--bound", str(cap + 1)],
+                 ["--json", "derivations", "classify", "--bound", "1000"]):
+        assert main(argv) == 2
+        bound = argv[-1]
+        assert capsys.readouterr() == ("", f"error: classify --bound {bound} is above the largest supported bound {cap}\n")
+    assert calls == []
+    # the cap itself reaches the sweep, and check-table ignores --bound
+    assert main(["derivations", "classify", "--bound", str(cap)]) == 0
+    assert calls == [cap]
+    assert main(["derivations", "check-table", "--bound", "1000"]) == 0
 
 
 def test_check_rejects_unknown_suite_before_running_any(capsys, monkeypatch):
