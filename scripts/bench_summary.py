@@ -13,14 +13,17 @@ better.  A traced run (``--trace 1``) on both sides with one workload and
 seed adds that pair's per-layer metrics under ``traced``, to show where a
 saving sits.  Runs of one side must come from a single commit and every
 run from a single machine.  It also records each side's
-``src/qtriangular/*.py`` line count (the benchmark's ``src.lines``), read
+``src/qtriangular/*.py`` line count (the benchmark's ``src.lines``) and its
+code-line count (what ``scripts/code_lines.py`` prints as the total), read
 with git from the commit that side's result files name, so both commits
-must be in this repository's history.  Standard library only.
+must be in this repository's history; a side whose commit the repository
+lacks gets None.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -29,6 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MACHINE = ("nproc", "python", "cpu")
+_spec = importlib.util.spec_from_file_location("code_lines", Path(__file__).with_name("code_lines.py"))
+_code_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_code_lines)
 
 
 def _load(paths):
@@ -57,17 +63,29 @@ def _by_seed(runs, workload):
     return out
 
 
-def src_lines(commit, repo=ROOT):
-    """What ``cat src/qtriangular/*.py | wc -l`` prints in a checkout of
-    ``commit``, or None when ``repo`` does not hold that commit."""
+def _count(commit, measure, repo):
+    """The sum of ``measure`` over the ``src/qtriangular/*.py`` sources (as
+    bytes) of ``commit``, or None when ``repo`` does not hold that commit."""
     def git(*args):
         return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, check=True).stdout
 
     try:
         names = git("ls-tree", "--name-only", commit, "src/qtriangular/").decode().splitlines()
-        return sum(git("show", f"{commit}:{name}").count(b"\n") for name in names if name.endswith(".py"))
+        return sum(measure(git("show", f"{commit}:{name}")) for name in names if name.endswith(".py"))
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+def src_lines(commit, repo=ROOT):
+    """What ``cat src/qtriangular/*.py | wc -l`` prints in a checkout of
+    ``commit``, or None when ``repo`` does not hold that commit."""
+    return _count(commit, lambda source: source.count(b"\n"), repo)
+
+
+def code_lines(commit, repo=ROOT):
+    """The total that ``scripts/code_lines.py`` prints in a checkout of
+    ``commit``, or None when ``repo`` does not hold that commit."""
+    return _count(commit, lambda source: _code_lines.code_lines(source.decode("utf-8")), repo)
 
 
 def _traced_pairs(parent, change, layers):
@@ -97,6 +115,7 @@ def summarize(parent, change, metrics, layers=()):
         "machine": {k: _only((r["info"][k] for r in everything), k) for k in MACHINE},
         **commits,
         "src_lines": {side: src_lines(commit) for side, commit in commits.items()},
+        "code_lines": {side: code_lines(commit) for side, commit in commits.items()},
         "workloads": {},
     }
     traced = _traced_pairs(*([r for r in side if r["info"].get("trace")] for side in (parent, change)), layers)

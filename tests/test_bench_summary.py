@@ -50,7 +50,7 @@ def test_src_lines_counts_the_package_modules_at_a_commit(tmp_path):
 
     pkg = tmp_path / "src" / "qtriangular"
     (pkg / "sub").mkdir(parents=True)
-    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "a.py").write_text('"""A docstring."""\n\n# a comment\nx = 1\ny = 2\n')
     (pkg / "b.py").write_text("z = 3\n")
     (pkg / "notes.txt").write_text("not\ncounted\n")
     (pkg / "sub" / "c.py").write_text("not counted: not matched by *.py at the top\n")
@@ -60,17 +60,23 @@ def test_src_lines_counts_the_package_modules_at_a_commit(tmp_path):
     first = git("rev-parse", "HEAD")
     (pkg / "b.py").write_text("z = 3\nw = 4\n")
     git("commit", "-q", "-am", "second")
-    assert bench_summary.src_lines(first, repo=tmp_path) == 3
-    assert bench_summary.src_lines("HEAD", repo=tmp_path) == 4
+    assert bench_summary.src_lines(first, repo=tmp_path) == 6
+    assert bench_summary.src_lines("HEAD", repo=tmp_path) == 7
     assert bench_summary.src_lines("0" * 40, repo=tmp_path) is None
+    # no docstring, comment or blank line is code
+    assert bench_summary.code_lines(first, repo=tmp_path) == 3
+    assert bench_summary.code_lines("HEAD", repo=tmp_path) == 4
+    assert bench_summary.code_lines("0" * 40, repo=tmp_path) is None
 
 
 def test_summary_records_both_sides_src_lines(monkeypatch):
     monkeypatch.setattr(bench_summary, "src_lines", {"p": 120, "c": 100}.get)
+    monkeypatch.setattr(bench_summary, "code_lines", {"p": 70}.get)
     parent = [_run("p", s, 0.9) for s in range(2)]
     change = [_run("c", s, 0.5) for s in range(2)]
     doc = bench_summary.summarize(parent, change, METRICS)
     assert doc["src_lines"] == {"parent": 120, "change": 100}
+    assert doc["code_lines"] == {"parent": 70, "change": None}
 
 
 def test_traced_runs_give_per_layer_pairs_and_stay_out_of_the_medians():

@@ -16,10 +16,7 @@ from qtriangular.deriv import (
     named_derivations,
     utq2_derivation_table,
     _outer_independent,
-    _rank,
-    _weight,
 )
-from qtriangular.coeff import ScalarQ
 from qtriangular.qalgebra import Element, random_element
 from qtriangular.triangular import build, qdet
 
@@ -253,51 +250,45 @@ def test_h1_membership():
 
 
 def test_h1_proof_controls():
-    T2 = build(2)
     five = [
-        ("D11", monomial_derivation((1, 1), (1, 0, 0))),
-        ("D12", monomial_derivation((1, 2), (0, 1, 0))),
-        ("D22", monomial_derivation((2, 2), (0, 0, 1))),
-        ("D11,(0,0,1)", monomial_derivation((1, 1), (0, 0, 1))),
-        ("D22,(1,0,0)", monomial_derivation((2, 2), (1, 0, 0))),
+        ("D11", (1, 1), (1, 0, 0)),
+        ("D12", (1, 2), (0, 1, 0)),
+        ("D22", (2, 2), (0, 0, 1)),
+        ("D11,(0,0,1)", (1, 1), (0, 0, 1)),
+        ("D22,(1,0,0)", (2, 2), (1, 0, 0)),
     ]
     assert _outer_independent(five).passed
-    # an inner derivation in place of D12 has a weight in N^3 minus {0}
-    ad12 = ("ad_a[1,2]", inner_derivation(T2.a(1, 2)))
-    rep = _outer_independent([five[0], ad12] + five[2:])
-    assert not rep.passed
-    assert rep.witness == ("weight of ad_a[1,2]", "(0, 1, 0)", "outside N^3 minus {0}")
-    # a derivation that is not homogeneous has no weight
-    mixed = ("D11+D11,(0,0,1)", five[0][1] + five[3][1])
-    assert is_derivation(mixed[1])
-    rep = _outer_independent(five + [mixed])
-    assert not rep.passed
-    assert rep.witness == ("weight of D11+D11,(0,0,1)", "None", "outside N^3 minus {0}")
-    # a repeated map makes its weight group dependent
+    # a repeated map would share its weight and its target with the first
     rep = _outer_independent(five + [five[0]])
     assert not rep.passed
-    assert rep.witness == ("rank of the weight-(0, 0, 0) maps", "3", "4")
+    assert rep.witness == ("the maps are distinct", "5", "6")
+    # a derivation of weight (1, 0, 0) in N^3 minus {0}: ad_{a[1,1]} is
+    # (1 - q^-1) times it, so it is inner
+    T2 = build(2)
+    d = monomial_derivation((1, 2), (1, 1, 0))
+    assert is_derivation(d)
+    assert inner_derivation(T2.a(1, 1)).images == d.scale(ONE - qpow(-1)).images
+    rep = _outer_independent(five + [("D12,(1,1,0)", (1, 2), (1, 1, 0))])
+    assert not rep.passed
+    assert rep.witness == ("weight of D12,(1,1,0)", "(1, 0, 0)", "outside N^3 minus {0}")
     # a map that is not a derivation is caught before its weight
-    rep = _outer_independent(five + [("D11,(1,0,1)", monomial_derivation((1, 1), (1, 0, 1)))])
+    rep = _outer_independent(five + [("D11,(1,0,1)", (1, 1), (1, 0, 1))])
+    assert not rep.passed
     assert rep.witness == ("D11,(1,0,1) is a derivation", "False", "True")
 
 
 def test_inner_monomial_derivations_have_their_exponent_as_weight():
-    # the proof's premise, on the inner derivations the bounded certificate used
+    # the proof's premise: every image term of ad_{x^nu} at g has exponent
+    # nu + e_g, on the inner derivations the bounded certificate used
     T2 = build(2)
     nus = [nu for nu in product(range(4), repeat=3) if 1 <= sum(nu) <= 3]
     assert len(nus) == 19
     for nu in nus:
-        assert _weight(inner_derivation(T2.monomial(nu))) == nu
-    assert _weight(DerivationSpec(T2, [T2.zero()] * 3)) is None
-
-
-def test_rank_helper():
-    one = ScalarQ.constant(1)
-    z = ScalarQ({})
-    assert _rank([[one, z], [z, one]]) == 2
-    assert _rank([[one, one], [one, one]]) == 1
-    assert _rank([[z, z]]) == 0
+        images = inner_derivation(T2.monomial(nu)).images
+        assert any(images), nu
+        for g, img in enumerate(images):
+            shifted = tuple(e + (h == g) for h, e in enumerate(nu))
+            assert all(mono == shifted for mono in img.terms), (nu, g)
 
 
 def test_derivation_table():
