@@ -16,6 +16,15 @@ which in normal form (exponents of a[1,1], a[1,2], a[2,2]) is
 
 The product law composes with the FIRST factor outermost; this convention
 is pinned by the endomorphism-composition oracle in the test suite.
+
+Every scale is a unit of Q(i)[q, q^-1], that is c * q^e with c != 0, so
+the unit group is Q(i)^x times q^Z and products, powers and inverses act on
+the pair (e, c) one component at a time.  The law therefore reads each
+scale's one (e, c) term, adds and scales the exponents as ints and
+multiplies, divides and raises the coefficients in Q(i).  A product,
+quotient or integer power of nonzero elements of the field Q(i) is nonzero,
+so every scale the law builds is a unit by construction, and its results
+skip the unit check of the public constructor (``Sextuple._of``).
 """
 
 from __future__ import annotations
@@ -50,8 +59,17 @@ class Sextuple(_Record):
         self._set(*fields)
 
     @staticmethod
+    def _of(l12: ScalarQ, l11: ScalarQ, l22: ScalarQ, j: int, k: int, l: int) -> "Sextuple":
+        """The sextuple of fields known to be valid: one-term ScalarQ scales
+        with nonzero coefficients and plain int exponents, as built from
+        fields of checked sextuples by the group law; no check is made."""
+        s = object.__new__(Sextuple)
+        s._set(l12, l11, l22, j, k, l)
+        return s
+
+    @staticmethod
     def identity() -> "Sextuple":
-        return Sextuple(ONE, ONE, ONE, 0, 0, 0)
+        return Sextuple._of(ONE, ONE, ONE, 0, 0, 0)
 
     def __str__(self):
         return f"[{self.l12},{self.l11},{self.l22},{self.j},{self.k},{self.l}]"
@@ -78,46 +96,67 @@ def g_to_endo(s: Sextuple) -> MorphismSpec:
     return MorphismSpec(ut, images)
 
 
+def _pairs(s: Sextuple):
+    """The (q-exponent, coefficient) pairs of the scales l12, l11, l22."""
+    return (*s.l12.terms.items(), *s.l11.terms.items(), *s.l22.terms.items())
+
+
 def g_compose(s1: Sextuple, s2: Sextuple) -> Sextuple:
-    """Group law: the sextuple of g_to_endo(s1) o g_to_endo(s2)."""
-    ratio = s1.l11 * s1.l22.inverse()
-    kl2 = s2.k + s2.l
-    return Sextuple(
-        s1.l12 * s2.l12 * s1.l11**s2.k * s1.l22**s2.l,
-        s1.l11 * s2.l11 * ratio**s2.j,
-        s1.l22 * s2.l22 * ratio**s2.j,
-        s1.j + s2.j,
-        s1.k + s2.k + s1.j * kl2,
-        s1.l + s2.l - s1.j * kl2,
+    """Group law: the sextuple of g_to_endo(s1) o g_to_endo(s2).
+
+    With s1's scales c * q^e and ratio = l11 / l22 of s1, the scales are
+    l12 = l12 l12' l11^k' l22^l' and l_ii = l_ii l_ii' ratio^j' (primes for
+    s2), computed on the (e, c) pairs: exponents as ints, coefficients in
+    Q(i).  The coefficients are products and powers of nonzero field
+    elements, hence nonzero, so the result needs no unit check."""
+    (e12, c12), (e11, c11), (e22, c22) = _pairs(s1)
+    (f12, d12), (f11, d11), (f22, d22) = _pairs(s2)
+    j1, j2, k2, l2 = s1.j, s2.j, s2.k, s2.l
+    kl2 = k2 + l2
+    er = (e11 - e22) * j2
+    ratio = (c11 / c22) ** j2
+    return Sextuple._of(
+        ScalarQ._new({e12 + f12 + e11 * k2 + e22 * l2: c12 * d12 * c11**k2 * c22**l2}),
+        ScalarQ._new({e11 + f11 + er: c11 * d11 * ratio}),
+        ScalarQ._new({e22 + f22 + er: c22 * d22 * ratio}),
+        j1 + j2,
+        s1.k + k2 + j1 * kl2,
+        s1.l + l2 - j1 * kl2,
     )
 
 
 def g_inverse(s: Sextuple) -> Sextuple:
-    ratio = s.l11 * s.l22.inverse()
+    """The inverse in the sextuple group, computed on the (e, c) pairs of
+    the scales like ``g_compose``, so it needs no unit check either."""
+    (e12, c12), (e11, c11), (e22, c22) = _pairs(s)
+    j = s.j
     kl = s.k + s.l
-    return Sextuple(
-        s.l12.inverse() * s.l11 ** (s.k - s.j * kl) * s.l22 ** (s.l + s.j * kl),
-        s.l11.inverse() * ratio**s.j,
-        s.l22.inverse() * ratio**s.j,
-        -s.j,
-        s.j * kl - s.k,
-        -s.j * kl - s.l,
+    k, l = s.k - j * kl, s.l + j * kl
+    er = (e11 - e22) * j
+    ratio = (c11 / c22) ** j
+    return Sextuple._of(
+        ScalarQ._new({e11 * k + e22 * l - e12: c11**k * c22**l / c12}),
+        ScalarQ._new({er - e11: ratio / c11}),
+        ScalarQ._new({er - e22: ratio / c22}),
+        -j,
+        -k,
+        -l,
     )
 
 
 def rho_conjugate(s: Sextuple) -> Sextuple:
     """Conjugation by the antidiagonal reflection: swaps the diagonal
     scales, negates j, and swaps k with l.  An order-2 group automorphism."""
-    return Sextuple(s.l12, s.l22, s.l11, -s.j, s.l, s.k)
+    return Sextuple._of(s.l12, s.l22, s.l11, -s.j, s.l, s.k)
 
 
 def g_decompose(s: Sextuple):
     """The unique factorization g = (j part) * (k,l part) * (scale part),
     with the middle entries corrected to (k - j(k+l), l + j(k+l))."""
     kl = s.k + s.l
-    g1 = Sextuple(ONE, ONE, ONE, s.j, 0, 0)
-    g2 = Sextuple(ONE, ONE, ONE, 0, s.k - s.j * kl, s.l + s.j * kl)
-    g3 = Sextuple(s.l12, s.l11, s.l22, 0, 0, 0)
+    g1 = Sextuple._of(ONE, ONE, ONE, s.j, 0, 0)
+    g2 = Sextuple._of(ONE, ONE, ONE, 0, s.k - s.j * kl, s.l + s.j * kl)
+    g3 = Sextuple._of(s.l12, s.l11, s.l22, 0, 0, 0)
     return g1, g2, g3
 
 

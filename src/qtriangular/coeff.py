@@ -393,7 +393,7 @@ class ScalarQ(_SparseSum):
         if not self.is_unit:
             raise ValueError(f"{self} is not a unit of the scalar ring")
         ((k, c),) = self.terms.items()
-        return ScalarQ({-k: c.inverse()})
+        return self._new({-k: c.inverse()})
 
     def conjugate(self) -> "ScalarQ":
         """Coefficient-wise Gaussian conjugation; q is fixed."""

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -19,7 +20,7 @@ from qtriangular.autos import (
     rho_conjugate,
 )
 from qtriangular.cli import parse_sextuple
-from qtriangular.coeff import ScalarQ, qpow
+from qtriangular.coeff import GaussianRational, ScalarQ, qpow
 from qtriangular.qalgebra import Element, is_point
 from qtriangular.triangular import build, rho_spec
 
@@ -130,6 +131,98 @@ def test_inverse_examples():
     assert g_inverse(IDENT) == IDENT
     assert g_inverse(Sextuple(ONE, ONE, ONE, 1, 0, 0)) == Sextuple(ONE, ONE, ONE, -1, 0, 0)
     assert g_inverse(Sextuple(ONE, ONE, ONE, 0, 2, 1)) == Sextuple(ONE, ONE, ONE, 0, -2, -1)
+
+
+def _product_compose(s1, s2):
+    """The group law through ScalarQ products and powers, the oracle for
+    the law on (q-exponent, coefficient) pairs."""
+    ratio = s1.l11 * s1.l22.inverse()
+    kl2 = s2.k + s2.l
+    return Sextuple(
+        s1.l12 * s2.l12 * s1.l11**s2.k * s1.l22**s2.l,
+        s1.l11 * s2.l11 * ratio**s2.j,
+        s1.l22 * s2.l22 * ratio**s2.j,
+        s1.j + s2.j,
+        s1.k + s2.k + s1.j * kl2,
+        s1.l + s2.l - s1.j * kl2,
+    )
+
+
+def _product_inverse(s):
+    ratio = s.l11 * s.l22.inverse()
+    kl = s.k + s.l
+    return Sextuple(
+        s.l12.inverse() * s.l11 ** (s.k - s.j * kl) * s.l22 ** (s.l + s.j * kl),
+        s.l11.inverse() * ratio**s.j,
+        s.l22.inverse() * ratio**s.j,
+        -s.j,
+        s.j * kl - s.k,
+        -s.j * kl - s.l,
+    )
+
+
+def test_law_matches_scalar_product_oracle():
+    rng = random.Random(39)
+    for jkl in product(range(-3, 4), repeat=3):
+        s = Sextuple(random_unit(rng), random_unit(rng), random_unit(rng), *jkl)
+        t = random_sextuple(rng)
+        assert g_compose(s, t) == _product_compose(s, t)
+        assert g_compose(t, s) == _product_compose(t, s)
+        assert g_inverse(s) == _product_inverse(s)
+
+
+class _Refused(Exception):
+    pass
+
+
+def _checked_decompose(s):
+    kl = s.k + s.l
+    return (Sextuple(ONE, ONE, ONE, s.j, 0, 0),
+            Sextuple(ONE, ONE, ONE, 0, s.k - s.j * kl, s.l + s.j * kl),
+            Sextuple(s.l12, s.l11, s.l22, 0, 0, 0))
+
+
+def test_law_makes_no_scalar_products(monkeypatch):
+    rng = random.Random(41)
+    pairs = [(random_sextuple(rng), random_sextuple(rng)) for _ in range(20)]
+    want = [(_product_compose(a, b), _product_inverse(a),
+             Sextuple(a.l12, a.l22, a.l11, -a.j, a.l, a.k), _checked_decompose(a)) for a, b in pairs]
+
+    def refuse(*args):
+        raise _Refused
+
+    for name in ("__mul__", "__rmul__", "__pow__", "inverse"):
+        monkeypatch.setattr(ScalarQ, name, refuse)
+    monkeypatch.setattr(Sextuple, "__init__", refuse)
+    got = [(g_compose(a, b), g_inverse(a), rho_conjugate(a), g_decompose(a)) for a, b in pairs]
+    # the patches do stop the product formula and the checking constructor
+    with pytest.raises(_Refused):
+        _product_compose(*pairs[0])
+    with pytest.raises(_Refused):
+        _checked_decompose(pairs[0][0])
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_law_results_are_the_same_records():
+    rng = random.Random(42)
+    for _ in range(40):
+        a, b = random_sextuple(rng), random_sextuple(rng)
+        results = [g_compose(a, b), g_inverse(a), rho_conjugate(a), Sextuple.identity(),
+                   *g_decompose(a)]
+        for r in results:
+            fields = (r.l12, r.l11, r.l22, r.j, r.k, r.l)
+            checked = Sextuple(*fields)
+            assert r == checked
+            assert hash(r) == hash(checked)
+            assert repr(r) == repr(checked)
+            back = pickle.loads(pickle.dumps(r))
+            assert back == r and repr(back) == repr(r)
+            for scale in fields[:3]:
+                assert type(scale) is ScalarQ
+                ((e, c),) = scale.terms.items()
+                assert type(e) is int and type(c) is GaussianRational and c
+            assert [type(x) for x in fields[3:]] == [int, int, int]
 
 
 def test_group_laws_random():

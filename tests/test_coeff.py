@@ -62,6 +62,13 @@ def test_units_and_inverse():
     assert Q**-2 == qpow(-2)
 
 
+def test_unit_inverse_is_the_inverse_term():
+    inv = qpow(3, 2).inverse()
+    assert inv == qpow(-3, Fraction(1, 2))
+    assert [type(k) for k in inv.terms] == [int]
+    assert qpow(-2, I).inverse() == qpow(2, -I)
+
+
 def test_gaussian_arithmetic():
     x = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
     assert x * x.inverse() == GaussianRational(1)
