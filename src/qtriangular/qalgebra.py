@@ -46,12 +46,6 @@ class _Presentation:
     def scalar(self, c) -> "Element":
         return self.term(self.unit_mono(), c)
 
-    def degree_form(self, d1, d2) -> int:
-        """The exponent B of q-commutation between degrees d1 and d2 of a
-        graded presentation (see ``QAlgebra.degree``): the dot product of
-        ``degree_vector(d1)`` and ``degree_dual(d2)``."""
-        return sum(map(mul, self.degree_vector(d1), self.degree_dual(d2)))
-
 
 class QAlgebra(_Presentation):
     """Presentation of a q-commutative algebra whose commutation constants
@@ -105,13 +99,14 @@ class QAlgebra(_Presentation):
         )
 
     def degree(self, mono):
-        """The degree of x^mono in a grading on which q-commutation factors,
-        or None when the presentation has none (as here).  A presentation
-        with a grading also has ``degree_vector`` and ``degree_dual``, whose
-        dot product ``degree_form(d1, d2)`` is the B with x^alpha x^beta =
-        q^B x^beta x^alpha whenever alpha and beta have degrees d1 and d2;
-        ``is_point`` and ``q_relation`` use them to skip products."""
-        return None
+        """The degree of x^mono as a hashable pair (vector, dual) such that
+        x^alpha x^beta = q^B x^beta x^alpha, with B the dot product of
+        alpha's vector and beta's dual; ``q_relation`` decides relations
+        by it.  Here it is (mono, M mono): by ``monomial_mul``, B = w(alpha,
+        beta) - w(beta, alpha) sums alpha_a beta_b M[a][b] over a > b and,
+        as M is antisymmetric, over a < b too, so B = alpha^T M beta.  So
+        every presentation is graded, ``SCALARS`` too (by ((), ()))."""
+        return mono, tuple(sum(map(mul, row, mono)) for row in self.M)
 
     def monomial_mul(self, alpha, beta):
         """Reorder x^alpha * x^beta into normal form.
@@ -355,18 +350,10 @@ class TensorSquare(_Presentation):
         return f"{self.left.mono_text(u) or '1'} (x) {self.right.mono_text(v) or '1'}"
 
     def degree(self, mono):
-        """The pair of the factors' degrees, or None if a factor has none;
-        the factors commute, so the form is the sum of theirs."""
-        u, v = mono
-        du = self.left.degree(u)
-        dv = None if du is None else self.right.degree(v)
-        return None if dv is None else (du, dv)
-
-    def degree_vector(self, d) -> tuple:
-        return self.left.degree_vector(d[0]) + self.right.degree_vector(d[1])
-
-    def degree_dual(self, d) -> tuple:
-        return self.left.degree_dual(d[0]) + self.right.degree_dual(d[1])
+        """The factors' vectors and their duals, each concatenated: the
+        factors commute, so B is the sum of theirs."""
+        (vu, du), (vv, dv) = self.left.degree(mono[0]), self.right.degree(mono[1])
+        return vu + vv, du + dv
 
 
 @lru_cache(maxsize=None)
@@ -417,28 +404,26 @@ class TensorElement(Element):
 
 
 def term_degrees(e: Element):
-    """The frozenset of the degrees of e's terms, empty for zero, or None
-    when the presentation has no grading (``degree`` gives None)."""
-    degrees = frozenset(map(e.algebra.degree, e.terms))
-    return None if None in degrees else degrees
+    """The frozenset of the degrees of e's terms, empty for zero."""
+    return frozenset(map(e.algebra.degree, e.terms))
 
 
 def q_relation(y: Element, z: Element, m: int, dy, dz):
     """The two sides of the relation y*z = q^m * z*y, as a pair that is
     equal exactly when the relation holds.
 
-    ``dy`` and ``dz`` are the term degrees of y and z (``term_degrees``),
-    or None.  Write y and z as sums of terms y_k and z_l.  Monomials
-    q-commute by their degrees alone, so a term pair of degrees a and b
-    has y_k z_l = q^B z_l y_k with B = ``degree_form(a, b)``, the dot
-    product of a's degree vector and b's dual.  When B == m for every pair,
-    summing over the pairs gives y*z = q^m * z*y, and the pair is
-    (True, True); a zero side has no terms, and 0 = q^m * 0.  Otherwise the
-    pair is the products (y*z, q^m * z*y), which decide the relation
-    exactly, even one that holds only by cancellation, so a relation that
-    fails is witnessed by two products that differ.
+    ``dy`` and ``dz`` are the term degrees of y and z (``term_degrees``).
+    Write y and z as sums of terms y_k and z_l.  Monomials q-commute by
+    their degrees alone, so a term pair of degrees (v, _) and (_, d) has
+    y_k z_l = q^B z_l y_k with B the dot product of v and d (see
+    ``QAlgebra.degree``).  When B == m for every pair, summing over the
+    pairs gives y*z = q^m * z*y, and the pair is (True, True); a zero side
+    has no terms, and 0 = q^m * 0.  Otherwise the pair is the products
+    (y*z, q^m * z*y), which decide the relation exactly, even one that
+    holds only by cancellation, so a relation that fails is witnessed by
+    two products that differ.
     """
-    if dy is not None and dz is not None and all(y.algebra.degree_form(a, b) == m for a in dy for b in dz):
+    if all(sum(map(mul, v, d)) == m for v, _ in dy for _, d in dz):
         return True, True
     return y * z, (z * y).scale(qpow(m))
 
@@ -467,26 +452,18 @@ def is_point(images, algebra: QAlgebra, *, opposite: bool = False) -> bool:
     there).  ``delta_spec`` builds the comultiplication without this check,
     which the bialgebra suite runs instead, once per size.
 
-    Each relation is decided as ``q_relation`` decides it: by the degrees of
-    the images' term pairs, each one dot product of vectors and duals built
-    once per image, and by products only for a relation the degrees reject
-    or in a target without a grading (such as ``SCALARS``).
+    Each image's term degrees are built once, and ``q_relation`` decides
+    every relation: by one dot product per term pair of two images, and by
+    products only for a relation the degrees reject.
     """
-    images, target = _image_tuple(images, algebra)
+    images, _ = _image_tuple(images, algebra)
     sign = -1 if opposite else 1
     degrees = [term_degrees(img) for img in images]
-    vectors = [None if d is None else [target.degree_vector(x) for x in d] for d in degrees]
-    duals = [None if d is None else [target.degree_dual(x) for x in d] for d in degrees]
     for a in range(algebra.ngens):
         if algebra.invertible[a] and not images[a].is_unit:
             return False
-        va = vectors[a]
         for b in range(a):
-            m, db = sign * algebra.M[a][b], duals[b]
-            if va is not None and db is not None and all(sum(map(mul, v, d)) == m for v in va for d in db):
-                continue
-            # the degrees reject the relation or there are none: products decide it
-            lhs, rhs = q_relation(images[a], images[b], m, None, None)
+            lhs, rhs = q_relation(images[a], images[b], sign * algebra.M[a][b], degrees[a], degrees[b])
             if lhs != rhs:
                 return False
     return True

@@ -260,8 +260,9 @@ def check_commutation_lemmas(n: int, seed: int = 0) -> CheckReport:
     at n = 4 proves them for every n.
 
     After the σ lines, each table line is a plain relation y*z = q^m' * z*y
-    (see ``_lemma_lines``) between homogeneous y and z: a[i,j] has degree
-    (e_i, e_j) and b[i,j] has (1 - e_j, 1 - e_i) (see ``b_element``).  So
+    (see ``_lemma_lines``) between homogeneous y and z: a[i,j] has
+    marginals (e_i, e_j) and b[i,j] has (1 - e_j, 1 - e_i) (see
+    ``b_element``), so each has one torus degree.  So
     ``q_relation`` proves it by one evaluation of the degree form, from a
     table of the 2N degrees; a line the degrees reject is witnessed by its
     products.  In the form, each row sum sum_m sgn(k - m) = 2k - 1 - n

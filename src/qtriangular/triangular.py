@@ -66,25 +66,25 @@ class TriangularAlgebra(QAlgebra):
         return gen
 
     def degree(self, mono):
-        """The torus degree of x^mono: its row and column marginals (R, C),
-        R_i = sum_j mono[i,j] and C_j = sum_i mono[i,j], so a[i,j] has
-        degree (e_i, e_j) and an inverted diagonal a[i,i]^-1 has (-e_i, -e_i).
+        """The (vector, dual) pair of x^mono in the torus grading, which is
+        coarser than ``QAlgebra.degree``'s, with 2n entries instead of N.  It
+        is read off the row and column marginals (R, C) of mono, R_i =
+        sum_j mono[i,j] and C_j = sum_i mono[i,j], so a[i,j] has (e_i, e_j)
+        and an inverted diagonal a[i,i]^-1 has (-e_i, -e_i).
 
         This is the Z^n x Z^n grading of quantum matrices (Manin; Brown and
         Goodearl, *Lectures on Algebraic Quantum Groups*).  The commutation
         exponent sgn(i - k) + sgn(l - j) of a[i,j] and a[k,l] is bilinear in
-        these degrees, so for monomials of degrees (R1, C1) and (R2, C2)
+        the marginals, so for monomials with marginals (R1, C1) and (R2, C2)
 
             x^alpha x^beta = q^B x^beta x^alpha,
             B = sum R1_i R2_k sgn(i - k) + sum C1_j C2_l sgn(l - j).
 
-        So B = <vec(d1), dual(d2)> (``degree_form``), with vec(R, C) = R || C
-        and dual(R, C) = s(R) || -s(C), where s(y)_i = sum_k y_k sgn(i - k)
-        (``_sgn_dual``), as sgn(l - j) = -sgn(j - l).  ``is_point`` builds
-        its images' vectors and duals once, so a term pair costs one dot
-        product.  σ scales a monomial of degree (R, C) by
-        q^(2(sum_i i R_i - sum_j j C_j)), so a[k,l] and b[k,l] alike by
-        q^(2(k - l)).
+        So B is the dot product of alpha's vector R1 || C1 and beta's dual
+        s(R2) || -s(C2), where s(y)_i = sum_k y_k sgn(i - k) (``_sgn_dual``),
+        as sgn(l - j) = -sgn(j - l).  σ scales a monomial with marginals
+        (R, C) by q^(2(sum_i i R_i - sum_j j C_j)), so a[k,l] and b[k,l]
+        alike by q^(2(k - l)).
         """
         rows = [0] * self.n
         cols = [0] * self.n
@@ -93,15 +93,8 @@ class TriangularAlgebra(QAlgebra):
             i, j = pairs[g]
             rows[i - 1] += mono[g]
             cols[j - 1] += mono[g]
-        return tuple(rows), tuple(cols)
-
-    def degree_vector(self, d) -> tuple:
-        """vec(R, C) = R || C; see ``degree``."""
-        return d[0] + d[1]
-
-    def degree_dual(self, d) -> tuple:
-        """dual(R, C) = s(R) || -s(C); see ``degree``."""
-        return _sgn_dual(d[0]) + tuple(map(neg, _sgn_dual(d[1])))
+        rows, cols = tuple(rows), tuple(cols)
+        return rows + cols, _sgn_dual(rows) + tuple(map(neg, _sgn_dual(cols)))
 
     def __repr__(self):
         kind = "localized " if self.localized else ""
@@ -264,10 +257,10 @@ def b_element(i: int, j: int, alg: TriangularAlgebra) -> Element:
       M = sgn(u - k) + sgn(k - v) = 1 - 1 = 0;
     - diagonal generators commute with each other.
 
-    Reading mu's row and column marginals gives b[i,j]'s degree
-    (1 - e_j, 1 - e_i) for every n: a chain fills rows i_0..i_(s-1) and
-    columns i_1..i_s, and its diagonal factors fill row and column k for
-    each k off the chain.
+    mu's row and column marginals, which give b[i,j]'s torus degree (see
+    ``TriangularAlgebra.degree``), are (1 - e_j, 1 - e_i) for every n: a
+    chain fills rows i_0..i_(s-1) and columns i_1..i_s, and its diagonal
+    factors fill row and column k for each k off the chain.
     """
     if not (1 <= i <= j <= alg.n):
         raise ValueError(f"b[{i},{j}] is out of range for n={alg.n}")

@@ -1,13 +1,13 @@
-"""The torus grading and the degree certificates built on it.
+"""Degrees as (vector, dual) pairs and the certificates built on them.
 
 ``q_relation`` decides every q-commutation relation of ``is_point`` and the
 commutation-lemma lines by the degrees of its sides' term pairs, and builds
-products only for a relation the degrees reject or in a presentation without
-a grading.  These tests hold the certificate to a product-only oracle kept
-here, check the degree form against ``monomial_mul`` and its vectors and
-duals against a sign-sum oracle kept here, count the products and forms it
-saves, and check the n-free degree forms that prove the commutation tables
-for every n.
+products only for a relation the degrees reject.  These tests hold the
+certificate to a product-only oracle kept here, check the degree form (one
+degree's vector dotted with another's dual) against ``monomial_mul`` in
+every kind of presentation and the torus grading against a sign-sum oracle
+kept here, count the products and degrees it takes, and check the n-free
+degree forms that prove the commutation tables for every n.
 """
 
 import random
@@ -21,10 +21,12 @@ from qtriangular.coeff import qpow
 from qtriangular.qalgebra import (
     SCALARS,
     Element,
+    QAlgebra,
     TensorElement,
     TensorSquare,
     is_point,
     q_relation,
+    quantum_affine,
     random_element,
     random_scalar,
     tensor_square,
@@ -69,12 +71,35 @@ def _is_point_by_products(images, algebra, opposite=False):
     return True
 
 
+def _form(d1, d2) -> int:
+    """The degree form: d1's vector dotted with d2's dual."""
+    return sum(map(mul, d1[0], d2[1]))
+
+
 def _sgn_form(x, y) -> int:
     """The sum of x_i * y_k * sgn(i - k) over all i, k, in O(n): each x_i
     meets the y-mass below i minus the y-mass above it.  The oracle for the
-    degree duals."""
+    torus degree forms."""
     below = accumulate(y, initial=0)
     return 2 * sum(map(mul, x, below)) + sum(map(mul, x, y)) - sum(x) * sum(y)
+
+
+def _torus(rows, cols):
+    """The torus degree of row and column marginals, straight from its
+    definition: (R || C, s(R) || -s(C)) with s(y)_i = sum_k y_k sgn(i - k)."""
+
+    def s(y):
+        return tuple(sum(yk * _sgn(i - k) for k, yk in enumerate(y)) for i in range(len(y)))
+
+    return rows + cols, s(rows) + tuple(-x for x in s(cols))
+
+
+def _marginals(t, mono):
+    rows, cols = [0] * t.n, [0] * t.n
+    for (i, j), e in zip(t.gen_pairs, mono):
+        rows[i - 1] += e
+        cols[j - 1] += e
+    return tuple(rows), tuple(cols)
 
 
 def _random_mono(alg, rng):
@@ -83,49 +108,85 @@ def _random_mono(alg, rng):
     )
 
 
+def _form_mismatches(pres, draw, trials=200):
+    """The pairs among ``trials`` pairs of monomials from ``draw`` whose
+    degree form is not the B of x^alpha x^beta = q^B x^beta x^alpha that
+    ``monomial_mul`` gives: the oracle for every grading."""
+    bad = []
+    for _ in range(trials):
+        alpha, beta = draw(), draw()
+        (w1, _), (w2, _) = pres.monomial_mul(alpha, beta), pres.monomial_mul(beta, alpha)
+        if _form(pres.degree(alpha), pres.degree(beta)) != w1 - w2:
+            bad.append((alpha, beta))
+    return bad
+
+
+def _squares(alg, rng):
+    """``alg``, its tensor square and a nested square, each with a draw of
+    random monomials."""
+
+    def draw():
+        return _random_mono(alg, rng)
+
+    sq = tensor_square(alg, alg)
+    yield alg, draw
+    yield sq, lambda: (draw(), draw())
+    yield tensor_square(alg, sq), lambda: (draw(), (draw(), draw()))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("localized", [False, True])
 def test_degree_form_is_the_q_commutation_exponent(n, localized):
-    alg = build(n, localized)
-    sq = tensor_square(alg, alg)
     rng = random.Random(100 * n + localized)
-    for _ in range(200):
-        alpha, beta = _random_mono(alg, rng), _random_mono(alg, rng)
-        (w1, _), (w2, _) = alg.monomial_mul(alpha, beta), alg.monomial_mul(beta, alpha)
-        assert alg.degree_form(alg.degree(alpha), alg.degree(beta)) == w1 - w2
-        u, v = (alpha, beta), (_random_mono(alg, rng), _random_mono(alg, rng))
-        (w1, _), (w2, _) = sq.monomial_mul(u, v), sq.monomial_mul(v, u)
-        assert sq.degree_form(sq.degree(u), sq.degree(v)) == w1 - w2
+    for pres, draw in _squares(build(n, localized), rng):
+        assert _form_mismatches(pres, draw) == [], pres
+
+
+@pytest.mark.parametrize("alg", [quantum_affine(3), quantum_affine(4), SCALARS], ids=["A3", "A4", "K"])
+def test_exponent_grading_gives_the_q_commutation_exponent(alg):
+    # QAlgebra.degree is (mono, M mono): every presentation is graded
+    rng = random.Random(alg.ngens)
+    for pres, draw in _squares(alg, rng):
+        assert _form_mismatches(pres, draw) == [], pres
+    assert alg.degree(alg.unit_mono()) == (alg.unit_mono(), alg.unit_mono())
+
+
+def test_a_dual_from_the_transposed_matrix_fails_the_oracle(monkeypatch):
+    # M^T = -M negates every degree form, so on quantum affine space, whose
+    # forms are mostly nonzero, the oracle rejects this mutant grading
+    def transposed(self, mono):
+        return mono, tuple(sum(map(mul, col, mono)) for col in zip(*self.M))
+
+    monkeypatch.setattr(QAlgebra, "degree", transposed)
+    rng = random.Random(3)
+    for alg in (quantum_affine(3), quantum_affine(4)):
+        assert _form_mismatches(alg, lambda: _random_mono(alg, rng)) != []
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_degree_vectors_and_duals_match_the_sign_sum_oracle(n):
-    # B(d1, d2) = <vec(d1), dual(d2)> is sum R1_i R2_k sgn(i - k) minus the
+    # B = <vector(alpha), dual(beta)> is sum R1_i R2_k sgn(i - k) minus the
     # same sum over the columns, in a plain algebra; a square concatenates
     # its factors' vectors and duals, so its form is the sum of theirs
-    t = build(n)
+    t = build(n, True)
     sq = tensor_square(t, t)
     nested = tensor_square(t, sq)
     rng = random.Random(n)
 
-    def marginals():
-        return tuple(rng.randint(-3, 3) for _ in range(n)), tuple(rng.randint(-3, 3) for _ in range(n))
-
-    def oracle(d1, d2):
-        (r1, c1), (r2, c2) = d1, d2
+    def oracle(alpha, beta):
+        (r1, c1), (r2, c2) = _marginals(t, alpha), _marginals(t, beta)
         return _sgn_form(r1, r2) - _sgn_form(c1, c2)
 
     for _ in range(100):
-        d = [marginals() for _ in range(6)]
-        want = oracle(d[0], d[1])
-        assert sum(map(mul, t.degree_vector(d[0]), t.degree_dual(d[1]))) == want
-        assert t.degree_form(d[0], d[1]) == want
-        du, dv = (d[0], d[2]), (d[1], d[3])
-        assert sq.degree_vector(du) == t.degree_vector(d[0]) + t.degree_vector(d[2])
-        assert sq.degree_dual(dv) == t.degree_dual(d[1]) + t.degree_dual(d[3])
-        assert sq.degree_form(du, dv) == want + oracle(d[2], d[3])
-        nu, nv = (d[0], (d[2], d[4])), (d[1], (d[3], d[5]))
-        assert nested.degree_form(nu, nv) == want + oracle(d[2], d[3]) + oracle(d[4], d[5])
+        m = [_random_mono(t, rng) for _ in range(6)]
+        assert t.degree(m[0]) == _torus(*_marginals(t, m[0]))
+        want = oracle(m[0], m[1])
+        assert _form(t.degree(m[0]), t.degree(m[1])) == want
+        (v0, d0), (v2, d2) = t.degree(m[0]), t.degree(m[2])
+        assert sq.degree((m[0], m[2])) == (v0 + v2, d0 + d2)
+        assert _form(sq.degree((m[0], m[2])), sq.degree((m[1], m[3]))) == want + oracle(m[2], m[3])
+        nu, nv = (m[0], (m[2], m[4])), (m[1], (m[3], m[5]))
+        assert _form(nested.degree(nu), nested.degree(nv)) == want + oracle(m[2], m[3]) + oracle(m[4], m[5])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -137,21 +198,22 @@ def test_generators_and_b_elements_are_homogeneous(n):
         return tuple(int(k == i) for k in range(1, n + 1))
 
     for (i, j) in t.gen_pairs:
-        assert term_degrees(t.a(i, j)) == frozenset({(e(i), e(j))})
+        assert term_degrees(t.a(i, j)) == frozenset({_torus(e(i), e(j))})
         if i < j:
-            want = tuple(map(int.__sub__, one, e(j))), tuple(map(int.__sub__, one, e(i)))
+            want = _torus(tuple(map(int.__sub__, one, e(j))), tuple(map(int.__sub__, one, e(i))))
             assert term_degrees(b_element(i, j, t)) == frozenset({want})
     assert term_degrees(t.zero()) == frozenset()
-    assert term_degrees(t.a(1, 1) + t.a(1, 2)) == frozenset({(e(1), e(1)), (e(1), e(2))})
-    # D(a[1,2]) = a[1,1] (x) a[1,2] + a[1,2] (x) a[2,2]
-    assert term_degrees(delta_spec(t).images[t.gen_index(1, 2)]) == frozenset(
-        {((e(1), e(1)), (e(1), e(2))), ((e(1), e(2)), (e(2), e(2)))}
-    )
-    assert term_degrees(SCALARS.one()) is None
+    assert term_degrees(t.a(1, 1) + t.a(1, 2)) == frozenset({_torus(e(1), e(1)), _torus(e(1), e(2))})
+    # D(a[1,2]) = a[1,1] (x) a[1,2] + a[1,2] (x) a[2,2], and a square's
+    # degree concatenates its factors' vectors and duals
+    (v11, s11), (v12, s12), (v22, s22) = (_torus(e(k), e(l)) for k, l in ((1, 1), (1, 2), (2, 2)))
+    want = frozenset({(v11 + v12, s11 + s12), (v12 + v22, s12 + s22)})
+    assert term_degrees(delta_spec(t).images[t.gen_index(1, 2)]) == want
+    assert term_degrees(SCALARS.one()) == frozenset({((), ())})
 
 
 def test_degree_forms_against_b_elements_do_not_depend_on_n():
-    # b[i,j] has degree (1 - e_j, 1 - e_i), so the sums over m of
+    # b[i,j] has marginals (1 - e_j, 1 - e_i), so the sums over m of
     # sgn(k - m) and sgn(m - l), which carry n, cancel in its degree forms;
     # every generator pair at n = 2..8 (2,891 pairs)
     count = 0
@@ -162,12 +224,12 @@ def test_degree_forms_against_b_elements_do_not_depend_on_n():
         a = {p: term_degrees(t.a(*p)) for p in t.gen_pairs}
         b = {p: term_degrees(b_element(*p, t)) for p in t.gen_pairs}
         for (i, j) in t.gen_pairs:
-            want = tuple(map(int.__sub__, one, e[j])), tuple(map(int.__sub__, one, e[i]))
+            want = _torus(tuple(map(int.__sub__, one, e[j])), tuple(map(int.__sub__, one, e[i])))
             assert b[i, j] == frozenset({want}), (n, i, j)
         for (k, l), (i, j) in product(t.gen_pairs, repeat=2):
             (da,), (dbkl,), (db,) = a[k, l], b[k, l], b[i, j]
-            assert t.degree_form(da, db) == 2 * (k - l) - _sgn(k - j) + _sgn(l - i)
-            assert t.degree_form(dbkl, db) == 2 * (k - l) - 2 * (i - j) + _sgn(l - j) - _sgn(k - i)
+            assert _form(da, db) == 2 * (k - l) - _sgn(k - j) + _sgn(l - i)
+            assert _form(dbkl, db) == 2 * (k - l) - 2 * (i - j) + _sgn(l - j) - _sgn(k - i)
             count += 1
     assert count == 2891
 
@@ -202,7 +264,7 @@ def test_q_relation_decides_cancellation_by_products():
     # relation y*y = y*y, and the products, which are equal, decide it
     t = build(2)
     (d11,), (d12,) = term_degrees(t.a(1, 1)), term_degrees(t.a(1, 2))
-    assert t.degree_form(d11, d12) == 1
+    assert _form(d11, d12) == 1
     y = t.a(1, 1) + t.a(1, 2)
     lhs, rhs = q_relation(y, y, 0, term_degrees(y), term_degrees(y))
     assert isinstance(lhs, Element)
@@ -210,7 +272,7 @@ def test_q_relation_decides_cancellation_by_products():
 
 
 def test_q_relation_holds_between_zero_sides():
-    # 0 = q^m * 0, so no degree form is asked for; SCALARS has none
+    # 0 = q^m * 0: a zero side has no term pairs, so the degrees decide it
     t = build(2)
     for y, z in ((t.zero(), t.a(1, 2)), (t.a(1, 1), t.zero()), (t.zero(), t.zero())):
         assert q_relation(y, z, 5, term_degrees(y), term_degrees(z)) == (True, True)
@@ -222,11 +284,12 @@ def test_q_relation_holds_between_zero_sides():
 def _tuples(n, rng):
     """Named image tuples with the source algebra and orientation they are
     meant for: homogeneous one- and multi-term, inhomogeneous, with zeros,
-    in a tensor square and in the scalars.  Lazily, so that the plain
-    generators are compared before any spec is built."""
-    t, ut = build(n), build(n, True)
+    in a tensor square, in the scalars and in quantum affine space.  Lazily,
+    so that the plain generators are compared before any spec is built."""
+    t, ut, x = build(n), build(n, True), quantum_affine(n)
     pairs = t.gen_pairs
     yield "generators", [t.gen(g) for g in range(t.ngens)], t, False
+    yield "affine generators", [x.gen(g) for g in range(x.ngens)], x, False
     yield "scaled generators", [t.gen(g).scale(random_scalar(rng)) for g in range(t.ngens)], t, False
     yield "diagonal, zeros elsewhere", [t.a(i, j) if i == j else t.zero() for (i, j) in pairs], t, False
     yield "b elements", [b_element(i, j, t) for (i, j) in pairs], t, False
@@ -294,27 +357,32 @@ def test_is_point_agrees_with_products():
         assert True in verdicts[name], name
 
 
-def test_is_point_of_delta_evaluates_no_degree_form_and_no_product(monkeypatch):
-    # each image's degree vectors and duals are built once, and each of the
-    # 3,360 term pairs of Δ's relations at n = 7 is one dot product of them
+def test_is_point_of_delta_and_counit_builds_each_degree_once_and_no_product(monkeypatch):
+    # Δ's images at n = 7 have 84 terms, whose degrees take 84 square and
+    # 168 factor degrees, and each of the 3,360 term pairs of Δ's relations
+    # is then one dot product; the counit's relations hold by the degrees
+    # of its 7 scalar terms, or vacuously on its zero images
     t = build(7)
-    images = delta_spec(t).images
-    calls = {"degree_form": 0, "product": 0}
+    calls = {}
 
     def counter(key, f):
         def counted(*args):
-            calls[key] += 1
+            calls[key] = calls.get(key, 0) + 1
             return f(*args)
 
         return counted
 
-    for cls in (TriangularAlgebra, TensorSquare):
-        monkeypatch.setattr(cls, "degree_form", counter("degree_form", cls.degree_form))
+    for cls in (QAlgebra, TriangularAlgebra, TensorSquare):
+        monkeypatch.setattr(cls, "degree", counter(cls.__name__, cls.degree))
     for cls in (Element, TensorElement):
         monkeypatch.setattr(cls, "__mul__", counter("product", Element.__mul__))
-    assert is_point(images, t)
+    assert is_point(delta_spec(t).images, t)
+    delta_calls = dict(calls)
+    calls.clear()
+    assert is_point(counit_spec(t).images, t)
     monkeypatch.undo()
-    assert calls == {"degree_form": 0, "product": 0}
+    assert delta_calls == {"TensorSquare": 84, "TriangularAlgebra": 168}
+    assert calls == {"QAlgebra": 7}
 
 
 def test_is_point_rejects_mixed_algebras_as_before():

@@ -4,7 +4,7 @@ import pytest
 
 from qtriangular import structure
 from qtriangular.coeff import qpow
-from qtriangular.qalgebra import MorphismSpec, TensorElement
+from qtriangular.qalgebra import MorphismSpec, QAlgebra, TensorElement
 from qtriangular.structure import (
     CheckReport,
     SUITES,
@@ -211,13 +211,17 @@ def test_no_suite_draws_random_numbers(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_mutated_lemma_table_fails_alike_by_degree_and_by_products(n, monkeypatch):
-    by_degree = _control("commutation-lemmas", n)
-    # without a grading every lemma line is built from its products
-    monkeypatch.setattr(TriangularAlgebra, "degree", lambda self, mono: None)
+    by_torus = _control("commutation-lemmas", n)
+    # the finer exponent grading decides the same lines
+    monkeypatch.setattr(TriangularAlgebra, "degree", QAlgebra.degree)
+    by_exponents = _control("commutation-lemmas", n)
+    monkeypatch.undo()
+    # and so do products alone
+    monkeypatch.setattr(structure, "q_relation", lambda y, z, m, dy, dz: (y * z, (z * y).scale(qpow(m))))
     by_products = _control("commutation-lemmas", n)
-    assert not by_degree.passed
-    assert by_degree.witness[0] == "a[1,1]b[1,2] = q^2 b[1,2]a[1,1]"
-    assert by_degree.line() == by_products.line()
+    assert not by_torus.passed
+    assert by_torus.witness[0] == "a[1,1]b[1,2] = q^2 b[1,2]a[1,1]"
+    assert by_torus.line() == by_exponents.line() == by_products.line()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
