@@ -27,11 +27,12 @@ entries as expressions without generators:
 ``t`` and ``z`` (= a[1,1]*a[2,2]^-1) need the localized algebra; ``det`` is
 always available.  Formatting is canonical, so parse(format(e)) == e.
 
-``main`` reads an argv of the plain shape (global flags, each a whole
-token, then a command with exactly its positionals) with ``_read_argv``,
-which builds argparse's ``Namespace`` from a table read off the argparse
-tree; every other argv, and so every usage, help and error text, goes to
-argparse.
+The flags and commands are written once, as the data ``_FLAGS`` and
+``_COMMANDS``; the argparse tree is built from them.  ``main`` reads an
+argv of the plain shape (global flags, each a whole token, then a command
+with exactly its positionals) with ``_read_argv``, which builds argparse's
+``Namespace`` from the same tables without building the tree; every other
+argv, and so every usage, help and error text, goes to argparse.
 """
 
 from __future__ import annotations
@@ -355,8 +356,7 @@ def _cmd_equal(args) -> int:
 def _cmd_delta(args) -> int:
     te = coproduct(parse(args.expr, _algebra(args)))
     text = format_tensor(te)
-    terms = [[list(u), list(v), c.to_json()] for (u, v), c in sorted(te.terms.items())]
-    _emit(args, text, {"tensor": text, "terms": terms})
+    _emit(args, text, {"tensor": text, "terms": te.to_json()})
     return 0
 
 
@@ -448,123 +448,99 @@ def _cmd_autos(args) -> int:
     return 0
 
 
+#: the global flags: option string and argparse keywords
+_FLAGS = (
+    ("--n", dict(type=int, default=2, help="matrix size (default 2)")),
+    ("--localized", dict(action="store_true", default=False, help="invert the diagonal generators")),
+    ("--json", dict(action="store_true", default=False, help="emit JSON instead of plain text")),
+    ("--seed", dict(type=int, default=0, help="ignored: no suite samples; kept for compatibility")),
+)
+
+#: the commands: name, help, arguments in order (each a name and its argparse
+#: keywords) and ``set_defaults``.  ``_read_argv`` relies on their shapes: only
+#: a command's last positional takes ``nargs``, every option has a default,
+#: and every flag stores its value or ``True``
+_COMMANDS = (
+    ("normalize", "normal form of an expression", [("expr", {})], dict(fn=_cmd_map, map=lambda e: e)),
+    ("equal", "exact equality of two expressions", [("lhs", {}), ("rhs", {})], dict(fn=_cmd_equal)),
+    ("delta", "comultiplication of an expression", [("expr", {})], dict(fn=_cmd_delta)),
+    ("counit", "counit of an expression", [("expr", {})], dict(fn=_cmd_counit)),
+    ("antipode", "antipode (localized algebra only)", [("expr", {})], dict(fn=_cmd_map, map=antipode)),
+    ("star", "Hopf *-involution (localized algebra only)", [("expr", {})], dict(fn=_cmd_map, map=star)),
+    ("b", "the cofactor-like element b[i,j]", [("i", dict(type=int)), ("j", dict(type=int))], dict(fn=_cmd_b)),
+    ("center", "central monomial directions", [], dict(fn=_cmd_center)),
+    ("check", "run verification suites", [("suites", dict(nargs="*", help="suite names, or 'all'"))],
+     dict(fn=_cmd_check)),
+    ("derivations", "derivation classification and table", [
+        ("action", dict(choices=["classify", "check-table"])),
+        ("--bound", dict(type=int, default=3, help="max exponent for classify")),
+    ], dict(fn=_cmd_derivations)),
+    ("autos", "sextuple automorphism group operations", [
+        ("action", dict(choices=["compose", "invert", "conjugate", "decompose", "is-hopf"])),
+        ("args", dict(nargs="+", help="sextuples as [l12,l11,l22,j,k,l]")),
+    ], dict(fn=_cmd_autos)),
+)
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on the first call and reused after it.
+    """The argparse tree of ``_FLAGS`` and ``_COMMANDS``, built on the
+    first call and reused after it.
 
     Building it costs many times what parsing one command line does, and
     the tree never changes; it is built lazily, so that importing the module
-    costs nothing extra.  Reuse leaks no state between calls: ``parse_args``
-    and every subparser fill a fresh ``Namespace``, no action has a mutable
-    shared default (``nargs`` lists are made per call), and the ``fn`` and
-    ``map`` defaults are stateless functions.
+    and reading a plain argv cost nothing extra.  Reuse leaks no state
+    between calls: ``parse_args`` and every subparser fill a fresh
+    ``Namespace``, no action has a mutable shared default (``nargs`` lists
+    are made per call), and the ``fn`` and ``map`` defaults are stateless
+    functions.
     """
     top = argparse.ArgumentParser(
         prog="qtriangular",
         description="Exact computations in the quantum upper-triangular bialgebra "
         "and its Hopf localization.",
     )
-    top.add_argument("--n", type=int, default=2, help="matrix size (default 2)")
-    top.add_argument("--localized", action="store_true", help="invert the diagonal generators")
-    top.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
-    top.add_argument("--seed", type=int, default=0, help="ignored: no suite samples; kept for compatibility")
+    for flag, kw in _FLAGS:
+        top.add_argument(flag, **kw)
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", help="normal form of an expression")
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_map, map=lambda e: e)
-
-    p = sub.add_parser("equal", help="exact equality of two expressions")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.set_defaults(fn=_cmd_equal)
-
-    p = sub.add_parser("delta", help="comultiplication of an expression")
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_delta)
-
-    p = sub.add_parser("counit", help="counit of an expression")
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_counit)
-
-    p = sub.add_parser("antipode", help="antipode (localized algebra only)")
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_map, map=antipode)
-
-    p = sub.add_parser("star", help="Hopf *-involution (localized algebra only)")
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_map, map=star)
-
-    p = sub.add_parser("b", help="the cofactor-like element b[i,j]")
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
-    p.set_defaults(fn=_cmd_b)
-
-    p = sub.add_parser("center", help="central monomial directions")
-    p.set_defaults(fn=_cmd_center)
-
-    p = sub.add_parser("check", help="run verification suites")
-    p.add_argument("suites", nargs="*", help="suite names, or 'all'")
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("derivations", help="derivation classification and table")
-    p.add_argument("action", choices=["classify", "check-table"])
-    p.add_argument("--bound", type=int, default=3, help="max exponent for classify")
-    p.set_defaults(fn=_cmd_derivations)
-
-    p = sub.add_parser("autos", help="sextuple automorphism group operations")
-    p.add_argument("action", choices=["compose", "invert", "conjugate", "decompose", "is-hopf"])
-    p.add_argument("args", nargs="+", help="sextuples as [l12,l11,l22,j,k,l]")
-    p.set_defaults(fn=_cmd_autos)
-
+    for name, text, arguments, defaults in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for arg, kw in arguments:
+            p.add_argument(arg, **kw)
+        p.set_defaults(**defaults)
     return top
 
 
-@lru_cache(maxsize=None)
-def _argv_table():
-    """What ``_read_argv`` needs, read off ``_build_parser()``'s tree: the
-    global flags by option string, the top-level defaults, the command's
-    destination, and per command its positionals, the least and most
-    tokens they take, and its own defaults.  A command whose positionals
-    are not single tokens followed by at most one ``*`` or ``+`` list is
-    left out, so argparse reads it."""
-
-    def defaults(actions):
-        """The values argparse puts in the namespace before reading a token."""
-        return {a.dest: a.default for a in actions
-                if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
-
-    top = _build_parser()
-    flags = {opt: a for a in top._actions for opt in a.option_strings if a.default is not argparse.SUPPRESS}
-    (sub,) = top._get_positional_actions()  # the command
-    commands = {}
-    for name, p in sub.choices.items():
-        positionals = [a for a in p._actions if not a.option_strings]
-        shape = [a.nargs for a in positionals]
-        if any(shape[:-1]) or shape[-1:] not in ([], [None], ["*"], ["+"]):
-            continue
-        least = len(shape) - (shape[-1:] == ["*"])
-        most = len(shape) if shape[-1:] in ([], [None]) else sys.maxsize
-        own = defaults(a for a in p._actions if a.option_strings)
-        commands[name] = (positionals, least, most, {**own, **p._defaults})
-    return flags, defaults(top._actions), sub.dest, commands
+def _command_shape(arguments, defaults):
+    """A command's positionals as (dest, keywords) pairs, the least and most
+    tokens they take, and the values its namespace starts from."""
+    positionals = [(arg, kw) for arg, kw in arguments if not arg.startswith("-")]
+    nargs = positionals[-1][1].get("nargs") if positionals else None
+    least = len(positionals) - (nargs == "*")
+    most = len(positionals) if nargs is None else sys.maxsize
+    own = {arg.lstrip("-"): kw["default"] for arg, kw in arguments if arg.startswith("-")}
+    return positionals, least, most, {**own, **defaults}
 
 
-_REJECT = object()
+#: what ``_read_argv`` looks up: the global flags by option string with their
+#: destinations, their defaults, and each command's shape
+_FLAG_DESTS = {flag: (flag.lstrip("-"), kw) for flag, kw in _FLAGS}
+_FLAG_DEFAULTS = {flag.lstrip("-"): kw["default"] for flag, kw in _FLAGS}
+_SHAPES = {name: _command_shape(arguments, defaults) for name, _, arguments, defaults in _COMMANDS}
 
 
-def _value(action, token: str):
-    """``token`` as argparse would store it for ``action``, or ``_REJECT``
-    where argparse might read it otherwise: as an option (a leading '-',
-    except the "- " of a printed normal form, which argparse always reads
-    as a positional), or as a type or choice error."""
+def _value(kw, token: str):
+    """``token`` as argparse would store it for an argument with keywords
+    ``kw``, or None where argparse might read it otherwise: as an option (a
+    leading '-', except the "- " of a printed normal form, which argparse
+    always reads as a positional), or as a type or choice error."""
     if token.startswith("-") and not token.startswith("- "):
-        return _REJECT
+        return None
     try:
-        value = token if action.type is None else action.type(token)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        return _REJECT
-    return value if action.choices is None or value in action.choices else _REJECT
+        value = kw.get("type", str)(token)
+    except ValueError:
+        return None
+    return value if value in kw.get("choices", (value,)) else None
 
 
 def _read_argv(argv):
@@ -573,31 +549,29 @@ def _read_argv(argv):
     a command with exactly as many positionals as it takes.  None for any
     other argv, which then goes to argparse, so that every usage, help and
     error text stays argparse's."""
-    flags, values, dest, commands = _argv_table()
-    values = dict(values)
+    values = dict(_FLAG_DEFAULTS)
     k = 0
-    while k < len(argv) and argv[k] in flags:
-        action = flags[argv[k]]
-        if action.nargs == 0:
-            value, k = action.const, k + 1
-        else:
-            value, k = _value(action, argv[k + 1]) if k + 1 < len(argv) else _REJECT, k + 2
-            if value is _REJECT:
-                return None
-        values[action.dest] = value
-    if k == len(argv) or argv[k] not in commands:
+    while k < len(argv) and argv[k] in _FLAG_DESTS:
+        dest, kw = _FLAG_DESTS[argv[k]]
+        if kw.get("action") == "store_true":
+            values[dest], k = True, k + 1
+            continue
+        value = _value(kw, argv[k + 1]) if k + 1 < len(argv) else None
+        if value is None:
+            return None
+        values[dest], k = value, k + 2
+    if k == len(argv) or argv[k] not in _SHAPES:
         return None
-    positionals, least, most, own = commands[argv[k]]
+    positionals, least, most, own = _SHAPES[argv[k]]
     tokens = argv[k + 1:]
     if not least <= len(tokens) <= most:
         return None
-    values[dest] = argv[k]
-    values.update(own)
-    for at, action in enumerate(positionals):
-        items = [_value(action, t) for t in (tokens[at:] if action.nargs else tokens[at:at + 1])]
-        if _REJECT in items:
+    values.update(own, command=argv[k])
+    for at, (dest, kw) in enumerate(positionals):
+        items = [_value(kw, t) for t in (tokens[at:] if "nargs" in kw else tokens[at:at + 1])]
+        if None in items:
             return None
-        values[action.dest] = items if action.nargs else items[0]
+        values[dest] = items if "nargs" in kw else items[0]
     return argparse.Namespace(**values)
 
 

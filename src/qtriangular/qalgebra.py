@@ -366,7 +366,8 @@ def tensor_square(left, right) -> TensorSquare:
 class TensorElement(Element):
     """An element of a ``TensorSquare``: ``terms`` maps pairs (u, v) of
     factor monomials to nonzero scalars.  All arithmetic is Element's; only
-    the factorwise map, the flip and the `` (x) `` printing live here."""
+    the factorwise map, the flip, the ``[u, v, c]`` JSON rows and the
+    `` (x) `` printing live here."""
 
     __slots__ = ()
 
@@ -395,6 +396,10 @@ class TensorElement(Element):
         for (mu, mv), c in self.terms.items():
             _add_into(out.terms, TensorElement.of(f(sq.left.term(mu, c)), g(sq.right.term(mv))).terms)
         return out
+
+    def to_json(self):
+        """``[u, v, c]`` rows, the ``terms`` that ``delta --json`` prints."""
+        return [[list(u), list(v), c.to_json()] for (u, v), c in sorted(self.terms.items())]
 
     def _term_strings(self):
         sq = self.algebra

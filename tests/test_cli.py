@@ -19,7 +19,9 @@ from helpers import count_element_ops, random_sextuple, random_unit
 from qtriangular.cli import ParseError, format_element, main, parse, parse_scalar, parse_sextuple
 from qtriangular.coeff import ONE, GaussianRational, ScalarQ, qpow
 from qtriangular.qalgebra import Element, random_element
-from qtriangular.triangular import antipode, b_element, build, delta_spec, gamma_spec, rho_spec, sigma_spec
+from qtriangular.triangular import (
+    antipode, b_element, build, coproduct, delta_spec, gamma_spec, rho_spec, sigma_spec,
+)
 
 
 T2 = build(2)
@@ -275,6 +277,9 @@ def test_cli_coalgebra_commands(capsys):
     assert main(["--n", "3", "delta", "a[1,3]"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "a[1,1] (x) a[1,3] + a[1,2] (x) a[2,3] + a[1,3] (x) a[3,3]"
+    assert main(["--n", "3", "--json", "delta", "a[1,3]"]) == 0
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    assert terms == coproduct(parse("a[1,3]", build(3))).to_json()
     assert main(["counit", "a[1,1]*a[2,2]"]) == 0
     assert capsys.readouterr().out.strip() == "1"
     assert main(["--localized", "antipode", "a[1,2]"]) == 0
@@ -541,7 +546,39 @@ NEAR_MISS_ARGVS = (
 )
 
 
+def _command_argvs():
+    """Plain-shape argvs built from ``cli._COMMANDS``, each under no flags,
+    ``--json`` and ``--n 3 --localized``: per command every token count
+    from one below its least to one above its most (a list taking at most
+    two), and per int or choice argument one argv with a bad token there."""
+    argvs = []
+    for name, _, arguments, _ in cli._COMMANDS:
+        positionals = [kw for arg, kw in arguments if not arg.startswith("-")]
+        samples = [kw["choices"][0] if "choices" in kw else "1" if kw.get("type") is int else "a[1,1]"
+                   for kw in positionals]
+        listed = bool(positionals) and "nargs" in positionals[-1]
+        least = len(positionals) - (listed and positionals[-1]["nargs"] == "*")
+        stream = samples + [samples[-1] if samples else "a[1,1]"] * 3
+        commands = [[name, *stream[:count]] for count in range(max(least - 1, 0), len(samples) + listed + 2)]
+        commands += [[name, *samples[:at], "frob", *samples[at + 1:]]
+                     for at, kw in enumerate(positionals) if "type" in kw or "choices" in kw]
+        argvs += [flags + command for flags in ([], ["--json"], ["--n", "3", "--localized"]) for command in commands]
+    return argvs
+
+
+def _argparse_namespace(argv):
+    """What ``_build_parser().parse_args(argv)`` returns, or None where it exits."""
+    try:
+        return cli._build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
 def test_argv_reader_matches_argparse():
+    # an argv built from the command table is read by the reader exactly
+    # when argparse accepts it
+    for argv in _command_argvs():
+        assert cli._read_argv(argv) == _argparse_namespace(argv), argv
     read = 0
     workloads = _workloads()
     argvs = [query.argv for seed in (0, 1, 2) for query in workloads.cli_session_queries(qtriangular, seed)]
@@ -553,6 +590,32 @@ def test_argv_reader_matches_argparse():
             read += 1
     # nearly every session argv takes the reader
     assert read > 0.99 * (len(argvs) - len(NEAR_MISS_ARGVS))
+
+
+def test_a_plain_argv_builds_no_argparse_tree():
+    # in a fresh process, so that no earlier test's call has built the tree
+    code = ("from qtriangular import cli\n"
+            "cli._build_parser.cache_clear()\n"
+            "assert cli.main(['normalize', 'a[1,1]']) == 0\n"
+            "print(cli._build_parser.cache_info().currsize)\n")
+    src = str(Path(qtriangular.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "a[1,1]\n0\n", "")
+
+
+def test_the_command_table_has_the_shapes_the_reader_relies_on():
+    """Only a command's last positional takes ``nargs`` ("*" or "+"), every
+    option has a default, and every flag stores a value or ``True``."""
+    options = [(arg, kw) for _, _, arguments, _ in cli._COMMANDS for arg, kw in arguments if arg.startswith("-")]
+    for name, _, arguments, _ in cli._COMMANDS:
+        positionals = [kw for arg, kw in arguments if not arg.startswith("-")]
+        assert not any("nargs" in kw for kw in positionals[:-1]), name
+        assert all(kw.get("nargs") in (None, "*", "+") for kw in positionals), name
+    for arg, kw in [*cli._FLAGS, *options]:
+        assert arg.startswith("--") and "default" in kw, arg
+        assert kw.get("action", "store") in ("store", "store_true"), arg
 
 
 def _main_outcome(argv, capsys):
