@@ -17,7 +17,9 @@ first wrong part and its position.  A subexpression built from rationals,
 becomes an ``Element`` where it meets one, or at the end of ``parse``.  A
 product of scalars, generator powers and other one-term factors is folded
 into one coefficient and one monomial; only a factor of several terms
-makes an ``Element`` product.
+makes an ``Element`` product.  A generator power ``a[i,j]^k`` or a ``q^k``
+builds no ``Element`` at all: it adds k to the monomial or shifts the
+coefficient.
 
 A sextuple ``autos`` argument is read by the same grammar, its first three
 entries as expressions without generators:
@@ -33,6 +35,8 @@ argv of the plain shape (global flags, each a whole token, then a command
 with exactly its positionals) with ``_read_argv``, which builds argparse's
 ``Namespace`` from the same tables without building the tree; every other
 argv, and so every usage, help and error text, goes to argparse.
+``--json`` prints the bytes of ``json.dumps(payload, indent=2)``, written
+without json's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
-from .coeff import I, ONE, Q, ZERO, ScalarQ
+from .coeff import I, ONE, ZERO, ScalarQ
 from .qalgebra import Element, TensorElement, center_lattice
 from .triangular import (
     TriangularAlgebra,
@@ -119,7 +124,6 @@ _I = ScalarQ.constant(I)
 #: the named atoms; ``t`` and ``z`` need the localized algebra
 _NAMED = {
     "i": lambda alg: _I,
-    "q": lambda alg: Q,
     "det": qdet,
     "t": tgen,
     "z": lambda alg: alg.a(1, 1) * alg.a(2, 2).inverse(),
@@ -176,29 +180,54 @@ class _Parser:
     def term(self) -> Element | ScalarQ:
         """A product, held as e * c * x^mono: e an ``Element`` or None (1),
         c a ``ScalarQ`` and mono an exponent tuple or None (no generator
-        yet).  A scalar factor multiplies c, and a one-term factor s * x^m
-        folds into c and mono through ``monomial_mul``; only a factor of
-        more terms makes an ``Element`` product, after the pending c * x^mono
-        joins e."""
+        yet).  A generator power a[i,j]^k is the exponent k at the
+        generator's index and q^k shifts c, so neither builds an
+        ``Element``; a factor's leading signs negate c.  Another scalar
+        factor multiplies c, and a one-term factor s * x^m folds into c
+        and mono through ``monomial_mul``, as a generator power does; only
+        a factor of more terms makes an ``Element`` product, after the
+        pending c * x^mono joins e."""
+        alg = self.alg
         e, c, mono = None, ONE, None
         while True:
-            f = self.factor()
-            if isinstance(f, ScalarQ):
-                s = f
-            elif len(f.terms) == 1:
-                ((m, s),) = f.terms.items()
+            negate = False
+            while self.accept("-"):
+                negate = not negate
+            # the factor as s * x^m, m None for the unit monomial
+            m, s = None, ONE
+            kind, value, pos, indices = self.tokens[self.i]
+            if kind == "gen":
+                self.i += 1
+                i, j = map(int, indices)
+                if not (1 <= i <= j <= alg.n):
+                    raise ParseError(f"generator a[{i},{j}] out of range for n={alg.n}", pos)
+                g = alg.gen_index(i, j)
+                m = [0] * alg.ngens
+                m[g] = self.exponent(alg.invertible[g])
+                m = tuple(m)
+            elif kind == "name" and value == "q":
+                self.i += 1
+                c = c.q_shift(self.exponent(True))
+            else:
+                f = self.factor()
+                if isinstance(f, ScalarQ):
+                    s = f
+                elif len(f.terms) == 1:
+                    ((m, s),) = f.terms.items()
+                else:
+                    e = self.folded(e, c, mono)
+                    e = f if e is ONE else e * f
+                    c, mono = ONE, None
+            if m is not None:
                 if mono is None:
                     mono = m
                 else:
-                    w, mono = self.alg.monomial_mul(mono, m)
+                    w, mono = alg.monomial_mul(mono, m)
                     c = c.q_shift(w)
-            else:
-                e = self.folded(e, c, mono)
-                e = f if e is ONE else e * f
-                c, mono, s = ONE, None, ONE
-            # s is the factor's coefficient; a generator's is ONE itself
             if s is not ONE:
                 c = s if c is ONE else c * s
+            if negate:
+                c = -c
             if not self.accept("*"):
                 return self.folded(e, c, mono)
 
@@ -210,17 +239,20 @@ class _Parser:
         return c if e is None else e if c is ONE else e * c
 
     def factor(self) -> Element | ScalarQ:
-        negate = False
-        while self.accept("-"):
-            negate = not negate
         e = self.atom()
+        k = self.exponent(e.is_unit)
+        return e if k == 1 else self.power(e, k)
+
+    def exponent(self, unit: bool) -> int:
+        """k of an optional '^' k after a base, else 1.  A negative k needs
+        the base to be a unit, and is reported at the caret otherwise."""
         caret = self.accept("^")
-        if caret:
-            k = self.signed_int()
-            if k < 0 and not e.is_unit:
-                raise ParseError("element is not a unit", caret[2])
-            e = self.power(e, k)
-        return -e if negate else e
+        if not caret:
+            return 1
+        k = self.signed_int()
+        if k < 0 and not unit:
+            raise ParseError("element is not a unit", caret[2])
+        return k
 
     def power(self, e: Element | ScalarQ, k: int) -> Element | ScalarQ:
         """e^k; a one-term element s * x^m gives s^k * q^(w*k*(k-1)/2) * x^(k*m)
@@ -238,12 +270,7 @@ class _Parser:
         return sign * int(self.take("int")[1])
 
     def atom(self) -> Element | ScalarQ:
-        kind, value, pos, indices = self.take()
-        if kind == "gen":
-            i, j = map(int, indices)
-            if not (1 <= i <= j <= self.alg.n):
-                raise ParseError(f"generator a[{i},{j}] out of range for n={self.alg.n}", pos)
-            return self.alg.a(i, j)
+        kind, value, pos, _ = self.take()
         if kind == "int":
             if self.accept("/"):
                 dtok = self.take("int")
@@ -328,11 +355,32 @@ def _algebra(args) -> TriangularAlgebra:
     return build(args.n, args.localized)
 
 
-def _emit(args, text: str, payload):
-    if args.json:
-        print(json.dumps(payload, indent=2))
+def _indented(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the dicts, lists, strings, ints
+    and bools (by exact type) that ``_emit`` prints.  An indent sends
+    ``json.dumps`` to json's pure-Python encoder; this writer lays out the
+    same bytes and encodes strings with json's C encoder."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    inner = indent + "  "
+    if kind is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
     else:
-        print(text)
+        items = [_indented(v, inner) for v in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
+def _emit(args, text: str, payload):
+    print(_indented(payload) if args.json else text)
 
 
 def _emit_element(args, e: Element) -> int:

@@ -145,16 +145,17 @@ class QAlgebra(_Presentation):
         return self._checked([(exps, coeff)])
 
     def _checked(self, terms) -> "Element":
-        """The element with these (monomial, coefficient) pairs, whose
-        exponents must be integers (``operator.index``) and whose monomials
-        must be admissible here."""
-        out = {}
-        for mono, c in terms:
-            mono = tuple(map(index, mono))
-            if not self.is_admissible(mono):
-                raise ValueError(f"inadmissible monomial {mono} for {self!r}")
-            out[mono] = c
-        return Element(self, out)
+        """The element with these (monomial, coefficient) pairs, each
+        monomial checked by ``_checked_mono``."""
+        return Element(self, {self._checked_mono(mono): c for mono, c in terms})
+
+    def _checked_mono(self, mono):
+        """``mono`` as a tuple, whose exponents must be integers
+        (``operator.index``) and which must be admissible here."""
+        mono = tuple(map(index, mono))
+        if not self.is_admissible(mono):
+            raise ValueError(f"inadmissible monomial {mono} for {self!r}")
+        return mono
 
     def to_json(self):
         return {
@@ -400,6 +401,15 @@ class TensorElement(Element):
     def to_json(self):
         """``[u, v, c]`` rows, the ``terms`` that ``delta --json`` prints."""
         return [[list(u), list(v), c.to_json()] for (u, v), c in sorted(self.terms.items())]
+
+    @staticmethod
+    def from_json(square: TensorSquare, rows) -> "TensorElement":
+        """The tensor of ``[u, v, c]`` rows as ``to_json`` writes them; u
+        must be admissible in the left factor and v in the right."""
+        left, right = square.left, square.right
+        return TensorElement(square, {
+            (left._checked_mono(u), right._checked_mono(v)): ScalarQ.from_json(c) for u, v, c in rows
+        })
 
     def _term_strings(self):
         sq = self.algebra

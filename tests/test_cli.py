@@ -118,6 +118,8 @@ MALFORMED = (
     "a(1,2)", "a[1,2,3]", "a[-1,2]", "a[1,2]a[1,1]", "qa[1,1]", "deta[1,1]", "a[01,2]", "a[1,1]^1.5",
     "0^-1", "(q-q)^-1", "(a[1,1]-a[1,1])^-1", "i^-3", "(2*q)^-2", "det^-1", "t^-2", "z^-1",
     "2*q^-2*(1+i)/3", "- -q^-2", "a[" + "1" * 5000 + ",1]", "a[1," + "1" * 5000, "q^" + "1" * 5000,
+    "a[1,2]^x", "a[1,2]^", "a[1,2]^--3", "-a[1,2]^-1", "a[9,9]^x",
+    "q^", "q^x", "q^2^3", "a[1,1]^2^3", "2*-q^2*-a[1,1]",
 )
 
 
@@ -131,6 +133,7 @@ def test_parser_matches_the_oracle_on_malformed_input(text):
 @pytest.mark.parametrize("text", [
     "(a[1,1]*a[1,2])^3", "(2*q*a[1,2]*a[1,1])^2*a[1,1]", "(i*a[2,2]*a[1,2]*a[1,1]^2)^5", "(a[1,2]*a[1,1])^0",
     "(q^2*a[1,1]*a[2,2]^-1)^-3", "(-a[1,2])^3*(-a[1,1])^-1", "a[1,2]^2*a[1,1]^3*a[1,2]*(a[1,1]+a[1,2])*a[1,1]",
+    "-q^-2*a[1,1]^-2*-a[1,2]", "a[1,2]*q*a[1,1]^0*q^-1",
 ])
 def test_one_term_products_and_powers_match_the_oracle(text):
     for alg in (T2, U2, build(3, True)):
@@ -184,6 +187,44 @@ def test_scalar_text_makes_no_element_product(monkeypatch, capsys):
     # the counters do see products and sums
     parse("(a[1,1]+1)*a[1,2] + 1", T2)
     assert calls == ["__add__", "__mul__", "__add__"]
+
+
+def test_generator_and_q_powers_build_no_element(monkeypatch):
+    calls = count_element_ops(monkeypatch)
+    built, powers = [], []
+    init, new, power = Element.__init__, Element._new, cli._Parser.power
+    monkeypatch.setattr(Element, "__init__", lambda self, *a: built.append("__init__") or init(self, *a))
+    monkeypatch.setattr(Element, "_new", lambda self, terms: built.append("_new") or new(self, terms))
+    monkeypatch.setattr(cli._Parser, "power", lambda self, e, k: powers.append(k) or power(self, e, k))
+    # a[i,j]^k and q^k fold into the running coefficient and monomial, and
+    # only the finished product becomes an Element
+    got = parse("3*q^-1*a[1,1]^2*a[1,2]*a[2,2]^-1", U2)
+    assert powers == []
+    assert calls == []
+    assert built == ["__init__"]
+    assert got.terms == {(2, 1, -1): qpow(-1, 3)}
+
+
+def test_json_writer_prints_the_indented_dumps():
+    for payload in ({}, [], {"terms": []}, [[]], {"equal": True}, {"hopf": False},
+                    {"expr": "- i*a[1,2]", "terms": [[[0, 1, 0], [[0, 0, 1, -1, 1]]]]}):
+        assert cli._indented(payload) == json.dumps(payload, indent=2), payload
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_json_output_is_the_indented_dumps_on_session_queries(seed, capsys):
+    # center prints json.dumps without indent; every other command of the
+    # session prints its --json payload through _emit
+    printed = 0
+    for query in _workloads().cli_session_queries(qtriangular, seed):
+        if "--json" not in query.argv or "center" in query.argv:
+            continue
+        main(list(query.argv))
+        out = capsys.readouterr().out
+        if out:
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", query.argv
+            printed += 1
+    assert printed > 400
 
 
 def test_check_all_leaves_the_cached_generators_intact(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations, permutations
 
@@ -136,6 +137,26 @@ def test_coproduct_examples():
     U2 = build(2, True)
     t = tgen(U2)
     assert coproduct(t) == TensorElement.of(t, t)
+
+
+def test_tensor_json_reads_back():
+    # the [u, v, c] rows that ``delta --json`` prints, through JSON text
+    for n in (2, 3, 4):
+        for localized in (False, True):
+            alg = build(n, localized)
+            for i, j in alg.gen_pairs:
+                te = coproduct(alg.a(i, j))
+                rows = json.loads(json.dumps(te.to_json()))
+                assert TensorElement.from_json(te.algebra, rows) == te
+    T2, U2 = build(2), build(2, True)
+    assert TensorElement.from_json(tensor_square(T2, T2), []) == tensor_square(T2, T2).zero()
+    inverse = [[[-1, 0, 0], [0, 0, -1], ONE.to_json()]]
+    assert TensorElement.from_json(tensor_square(U2, U2), inverse) == TensorElement.of(
+        U2.a(1, 1) ** -1, U2.a(2, 2) ** -1)
+    # a negative exponent on a non-invertible generator, on either side
+    for square in (tensor_square(T2, U2), tensor_square(U2, T2)):
+        with pytest.raises(ValueError, match="inadmissible monomial"):
+            TensorElement.from_json(square, inverse)
 
 
 def test_structure_maps_reject_foreign_algebras():
