@@ -74,7 +74,8 @@ MAX_N = 50
 #: largest j - i - 1, so b[i,j] has at most 2^MAX_CHAIN terms.  ``star`` at
 #: --n MAX_CHAIN + 2 answers in under 1 s (0.41 s at --n 12, 0.46-0.67 s at
 #: --n 13 on a 2-core Xeon, Python 3.11), which would allow 11; it stays 10
-#: because the same gate covers ``check``, whose star suite takes 8 s at n = 10
+#: because the same gate covers ``check``, whose star suite takes 1.1 s at
+#: n = 10, 2.4 s at n = 11 and 6.3 s at n = 12, the widest the cap allows
 MAX_CHAIN = 10
 #: largest --n for ``center``, whose Hermite normal form costs O(N^3) with
 #: N = n(n+1)/2; as a subprocess (2-core Xeon, Python 3.11) --n 24 center

@@ -2,9 +2,10 @@
 
 A derivation D is stored by its generator images and extended by the
 morphism x |-> (x, D(x)) into Leibniz pairs: D(x^alpha) is the second half of
-the ordered product of the pairs (g^k, D(g^k)), which ``MorphismSpec``'s loop
-folds from its power cache, with D(g^-1) = -g^-1 D(g) g^-1 as the one
-inverse.  Because the defining relations are quadratic, a candidate is a
+the ordered product of the pairs (g^k, D(g^k)), with D(g^-1) = -g^-1 D(g) g^-1
+as the one inverse.  Pairs add halfwise and their product is bilinear, so
+``MorphismSpec``'s Horner walk sums them from its power cache as it sums
+image powers.  Because the defining relations are quadratic, a candidate is a
 derivation iff every pairwise relation is Leibniz-compatible, which is what
 ``is_derivation`` checks exactly.
 
@@ -20,15 +21,15 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .coeff import _add_into, qpow
+from .coeff import qpow
 from .qalgebra import Element, MorphismSpec
 from .structure import CheckReport, _run
 from .triangular import build
 
 
 class _Leibniz(tuple):
-    """A pair (a, D(a)) with the Leibniz product (a, Da)(b, Db) = (ab, Da b + a Db);
-    ``terms`` are D(a)'s, which is what ``MorphismSpec.apply`` collects."""
+    """A pair (a, D(a)) with the Leibniz product (a, Da)(b, Db) = (ab, Da b + a Db)
+    and the halfwise sum."""
 
     __slots__ = ()
 
@@ -38,9 +39,7 @@ class _Leibniz(tuple):
     def d_mul(self, other):
         """Da b + a Db, the second half of the product with other = (b, Db)."""
         (a, da), (b, db) = self, other
-        d = da * b
-        _add_into(d.terms, (a * db).terms)
-        return d
+        return (da * b)._add_owned(a * db)
 
     def inverse(self):
         x = self[0].inverse()
@@ -49,15 +48,18 @@ class _Leibniz(tuple):
     def scale(self, c):
         return _Leibniz((self[0].scale(c), self[1].scale(c)))
 
-    @property
-    def terms(self):
-        return self[1].terms
+    def _add_owned(self, other):
+        """Both halves of other added into this pair's, which nothing else holds."""
+        self[0]._add_owned(other[0])
+        self[1]._add_owned(other[1])
+        return self
 
 
 class DerivationSpec(MorphismSpec):
     """Generator images of a would-be derivation of one algebra; its cached
     image powers are the Leibniz pairs (g^k, D(g^k)), so D(x^alpha) is the
-    second half of their ordered product, folded by ``MorphismSpec``'s loop."""
+    second half of their ordered product, summed by ``MorphismSpec``'s
+    Horner walk."""
 
     __slots__ = ("algebra",)
 
@@ -71,9 +73,14 @@ class DerivationSpec(MorphismSpec):
         one, gen = _Leibniz((self.source.one(), self.source.zero())), self.source.gen
         return one, {(g, 1): _Leibniz((gen(g), img)) for g, img in enumerate(self.images)}
 
-    # MorphismSpec's loop under its own name, so that ``perfbench/layers.py``
-    # can time derivations apart from morphisms
-    apply = __call__ = MorphismSpec.apply
+    def apply(self, e: Element) -> Element:
+        """D(e), the second half of the Horner sum of e's Leibniz pairs; its
+        own method, so that ``perfbench/layers.py`` times derivations apart
+        from morphisms."""
+        total = self._horner(e)
+        return self.algebra.zero() if total is None else total[1]
+
+    __call__ = apply
 
     def __add__(self, other):
         if not isinstance(other, DerivationSpec):

@@ -270,6 +270,11 @@ class Element(_SparseSum):
             raise ArithmeticError(f"inverse self-check failed for {self}")
         return res
 
+    def _add_owned(self, other) -> "Element":
+        """self + other, written into self, which nothing else may hold."""
+        _add_into(self.terms, other.terms)
+        return self
+
     # the shared power, bound here so that perfbench finds it
     __pow__ = _SparseSum.__pow__
 
@@ -490,11 +495,12 @@ class MorphismSpec:
 
     The images must pass the point check (reversed relations for an
     antimorphism), which is verified at construction unless ``check=False``.
-    ``apply`` folds cached image powers, which ``_seed`` starts with the
-    images as the k = 1 powers and ``_unit`` as every k = 0 power; it asks of
-    them only a product, ``scale``, ``inverse``, truth and ``terms``, so a
-    derivation seeds Leibniz pairs and folds them through the same loop
-    (see ``deriv``).
+    ``apply`` sums cached image powers in Horner form (``_horner``), which
+    ``_seed`` starts with the images as the k = 1 powers and ``_unit`` as
+    every k = 0 power; it asks of them only a product, ``scale``,
+    ``inverse``, truth and ``_add_owned``, an in-place sum into a value that
+    nothing else holds, so a derivation seeds Leibniz pairs and sums them
+    through the same walk (see ``deriv``).
     """
 
     __slots__ = ("source", "target", "images", "antimorphism", "antilinear", "_unit", "_powers")
@@ -526,34 +532,64 @@ class MorphismSpec:
         return cached
 
     def apply(self, e: Element) -> Element:
+        total = self._horner(e)
+        return self.target.zero() if total is None else total
+
+    __call__ = apply
+
+    def _horner(self, e):
+        """The sum over e's terms of c times the ordered product of the
+        term's image powers, or None when no term survives, in Horner form:
+        the terms sit on a trie keyed by their (g, k) powers in product
+        order, so a prefix that many terms share is multiplied once, by the
+        sum of its suffixes.  The sum is new, and nothing else holds it."""
         if e.algebra is not self.source:
             raise ValueError("element does not belong to the source algebra")
         order = range(self.source.ngens)
         if self.antimorphism:
             order = reversed(order)
         order = tuple(order)
-        # a fresh zero that nothing else holds, filled in place
-        out = self.target.zero()
+        power = self._image_power
+        # a node is [coefficient of the term that ends there or None, branches]
+        root = [None, {}]
         for mono, c in e.terms.items():
-            powers = []
+            keys = []
             for g in order:
-                if mono[g]:
-                    p = self._image_power(g, mono[g])
-                    if not p:
-                        # a zero image power kills the term before any
-                        # further power, scale or product
+                k = mono[g]
+                if k:
+                    if not power(g, k):
+                        # a zero image power kills the term before any further power
                         break
-                    powers.append(p)
+                    keys.append((g, k))
             else:
-                if self.antilinear:
-                    c = c.conjugate()
-                acc = (powers[0] if powers else self._unit).scale(c)
-                for p in powers[1:]:
-                    acc = acc * p
-                _add_into(out.terms, acc.terms)
-        return out
-
-    __call__ = apply
+                node = root
+                for key in keys:
+                    branches = node[1]
+                    node = branches.get(key)
+                    if node is None:
+                        node = branches[key] = [None, {}]
+                node[0] = c.conjugate() if self.antilinear else c
+        # A node's value is c + the sum over its branches (g, k) of P(g, k)
+        # times the branch's value.  The walk keeps one frame per open node,
+        # [its power, its sum so far or None, branches left], on its own
+        # stack, so its depth never tracks the support.
+        powers, unit = self._powers, self._unit
+        frames = [[None, None if root[0] is None else unit.scale(root[0]), iter(root[1].items())]]
+        while True:
+            frame = frames[-1]
+            for key, (c, branches) in frame[2]:
+                if branches:
+                    frames.append([powers[key], None if c is None else unit.scale(c), iter(branches.items())])
+                    break
+                value = powers[key].scale(c)
+                # every value here is new, so sums accumulate in place
+                frame[1] = value if frame[1] is None else frame[1]._add_owned(value)
+            else:
+                frames.pop()
+                if not frames:
+                    return frame[1]
+                value, up = frame[0] * frame[1], frames[-1]
+                up[1] = value if up[1] is None else up[1]._add_owned(value)
 
 
 class _Record:
