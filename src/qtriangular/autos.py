@@ -89,9 +89,9 @@ def g_to_endo(s: Sextuple) -> MorphismSpec:
     ut = build(2, True)
     j = s.j
     images = (
-        ut.term((j + 1, 0, -j), s.l11),
-        ut.term((s.k, 1, s.l), s.l12.q_shift(s.l)),
-        ut.term((j, 0, 1 - j), s.l22),
+        ut._term((j + 1, 0, -j), s.l11),
+        ut._term((s.k, 1, s.l), s.l12.q_shift(s.l)),
+        ut._term((j, 0, 1 - j), s.l22),
     )
     return MorphismSpec(ut, images)
 

@@ -236,7 +236,7 @@ class _Parser:
         """e * c * x^mono, where e None stands for 1 and mono None for the
         unit monomial: c itself when both are None."""
         if mono is not None:
-            c = self.alg.term(mono, c)
+            c = self.alg._term(mono, c)
         return c if e is None else e if c is ONE else e * c
 
     def factor(self) -> Element | ScalarQ:
@@ -264,7 +264,7 @@ class _Parser:
         ((m, s),) = e.terms.items()
         w, _ = self.alg.monomial_mul(m, m)
         s = s if s is ONE else s**k
-        return self.alg.term(tuple(k * x for x in m), s.q_shift(w * k * (k - 1) // 2))
+        return self.alg._term(tuple(k * x for x in m), s.q_shift(w * k * (k - 1) // 2))
 
     def signed_int(self) -> int:
         sign = -1 if self.accept("-") else 1

@@ -31,20 +31,21 @@ def _sgn(x: int) -> int:
 
 class _Presentation:
     """Constructors shared by QAlgebra and TensorSquare, written once on
-    each one's ``term`` and ``unit_mono``.  Element asks a presentation
-    for nothing else but ``monomial_mul``, ``canon_mono``, ``mono_is_unit``,
-    ``mono_inverse`` and ``mono_text``."""
+    each one's ``_term`` and ``unit_mono``.  Element asks a presentation
+    for nothing else but ``monomial_mul``, ``_checked_mono`` (in its
+    public constructor only), ``mono_is_unit``, ``mono_inverse`` and
+    ``mono_text``."""
 
     __slots__ = ()
 
     def zero(self) -> "Element":
-        return self.term(self.unit_mono(), ZERO)
+        return self._term(self.unit_mono(), ZERO)
 
     def one(self) -> "Element":
-        return self.term(self.unit_mono(), ONE)
+        return self._term(self.unit_mono())
 
     def scalar(self, c) -> "Element":
-        return self.term(self.unit_mono(), c)
+        return self._term(self.unit_mono(), ScalarQ.coerce(c))
 
 
 class QAlgebra(_Presentation):
@@ -79,12 +80,6 @@ class QAlgebra(_Presentation):
 
     def unit_mono(self):
         return (0,) * len(self.gen_names)
-
-    def canon_mono(self, mono):
-        mono = tuple(mono)
-        if len(mono) != len(self.gen_names):
-            raise ValueError("monomial length does not match algebra")
-        return mono
 
     def mono_is_unit(self, mono) -> bool:
         return all(e == 0 or inv for e, inv in zip(mono, self.invertible))
@@ -133,25 +128,23 @@ class QAlgebra(_Presentation):
 
     # -- element constructors -------------------------------------------------
 
-    def term(self, mono, c=ONE) -> "Element":
-        return Element(self, {mono: c})
+    def _term(self, mono, c=ONE) -> "Element":
+        """c * x^mono by the trusted path: mono is admissible and c a
+        ``ScalarQ``, so only a zero c is dropped."""
+        return Element._of(self, {mono: c} if c else {})
 
     def gen(self, g: int) -> "Element":
         exps = [0] * self.ngens
         exps[g] = 1
-        return self.term(tuple(exps))
+        return self._term(tuple(exps))
 
     def monomial(self, exps, coeff=1) -> "Element":
-        return self._checked([(exps, coeff)])
-
-    def _checked(self, terms) -> "Element":
-        """The element with these (monomial, coefficient) pairs, each
-        monomial checked by ``_checked_mono``."""
-        return Element(self, {self._checked_mono(mono): c for mono, c in terms})
+        return Element(self, {tuple(exps): coeff})
 
     def _checked_mono(self, mono):
         """``mono`` as a tuple, whose exponents must be integers
-        (``operator.index``) and which must be admissible here."""
+        (``operator.index``) and which must be admissible here: the one key
+        check, which only the public constructor runs."""
         mono = tuple(map(index, mono))
         if not self.is_admissible(mono):
             raise ValueError(f"inadmissible monomial {mono} for {self!r}")
@@ -182,28 +175,39 @@ SCALARS = QAlgebra((), (), ())
 class Element(_SparseSum):
     """A finite linear combination of basis monomials of one algebra.
 
-    ``terms`` maps monomials, in the form the algebra's ``canon_mono``
-    gives, to nonzero scalars.  Instances are immutable values; arithmetic
-    returns new normal forms of the same type.
+    ``terms`` maps admissible monomials to nonzero scalars.  Instances are
+    immutable values; arithmetic returns new normal forms of the same type.
+
+    ``Element(algebra, terms)`` is the one public constructor, and it
+    checks every key with the algebra's ``_checked_mono``: integer
+    exponents, the right length, and no negative exponent on a generator
+    that is not invertible.  It coerces each coefficient and drops the
+    zeros.  Code whose terms are already normal builds through ``_of``
+    (or a presentation's ``_term``), which checks nothing.
     """
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, terms):
-        canon_mono = algebra.canon_mono
+        checked = algebra._checked_mono
         canon = {}
         for mono, c in terms.items():
-            c = ScalarQ.coerce(c)
+            mono, c = checked(mono), ScalarQ.coerce(c)
             if c:
-                canon[canon_mono(mono)] = c
+                canon[mono] = c
         self.algebra = algebra
         self.terms = canon
 
-    def _new(self, terms):
-        """A value of this type and algebra; ``terms`` is already normal."""
-        res = object.__new__(type(self))
-        res.algebra, res.terms = self.algebra, terms
+    @classmethod
+    def _of(cls, algebra, terms):
+        """The trusted constructor: a value of this type that wraps
+        ``terms``, which is already normal and which nothing else holds."""
+        res = object.__new__(cls)
+        res.algebra, res.terms = algebra, terms
         return res
+
+    def _new(self, terms):
+        return self._of(self.algebra, terms)
 
     def _coerce(self, other):
         if isinstance(other, Element):
@@ -265,7 +269,7 @@ class Element(_SparseSum):
         ((mono, c),) = self.terms.items()
         inv_mono = alg.mono_inverse(mono)
         w, _ = alg.monomial_mul(mono, inv_mono)
-        res = alg.term(inv_mono, c.inverse().q_shift(-w))
+        res = alg._term(inv_mono, c.inverse().q_shift(-w))
         if self * res != alg.one():
             raise ArithmeticError(f"inverse self-check failed for {self}")
         return res
@@ -281,14 +285,14 @@ class Element(_SparseSum):
     def transport(self, algebra: QAlgebra) -> "Element":
         """Reinterpret in another algebra with the same generator count
         (e.g. the localization); monomials must stay admissible."""
-        return algebra._checked(self.terms.items())
+        return Element(algebra, self.terms)
 
     def to_json(self):
         return [[list(mono), c.to_json()] for mono, c in sorted(self.terms.items())]
 
     @staticmethod
     def from_json(algebra: QAlgebra, data) -> "Element":
-        return algebra._checked([(mono, ScalarQ.from_json(cjson)) for mono, cjson in data])
+        return Element(algebra, {tuple(mono): ScalarQ.from_json(cjson) for mono, cjson in data})
 
     def _term_strings(self):
         text = self.algebra.mono_text
@@ -327,15 +331,16 @@ class TensorSquare(_Presentation):
         self.left = left
         self.right = right
 
-    def term(self, mono, c=ONE) -> "TensorElement":
-        return TensorElement(self, {mono: c})
+    def _term(self, mono, c=ONE) -> "TensorElement":
+        return TensorElement._of(self, {mono: c} if c else {})
 
     def unit_mono(self):
         return self.left.unit_mono(), self.right.unit_mono()
 
-    def canon_mono(self, mono):
+    def _checked_mono(self, mono):
+        """(u, v) with u checked in the left factor and v in the right."""
         u, v = mono
-        return self.left.canon_mono(u), self.right.canon_mono(v)
+        return self.left._checked_mono(u), self.right._checked_mono(v)
 
     def mono_is_unit(self, mono) -> bool:
         u, v = mono
@@ -385,22 +390,26 @@ class TensorElement(Element):
     def of(u: Element, v: Element) -> "TensorElement":
         """The simple tensor u (x) v, expanded bilinearly."""
         terms = {(mu, mv): cu * cv for mu, cu in u.terms.items() for mv, cv in v.terms.items()}
-        return TensorElement(tensor_square(u.algebra, v.algebra), terms)
+        return TensorElement._of(tensor_square(u.algebra, v.algebra), terms)
 
     def flip(self) -> "TensorElement":
         """The flip map u (x) v -> v (x) u."""
         sq = self.algebra
-        return TensorElement(tensor_square(sq.right, sq.left), {(v, u): c for (u, v), c in self.terms.items()})
+        return TensorElement._of(tensor_square(sq.right, sq.left), {(v, u): c for (u, v), c in self.terms.items()})
 
     def map_factors(self, f, g) -> "TensorElement":
         """Apply Element maps f and g factorwise; the coefficient rides on
         the left factor, so antilinear f conjugates it.  The result, even
         for the zero tensor, lives in the square of f's and g's targets."""
         sq = self.algebra
-        # a fresh zero of that square, which nothing else holds, filled in place
-        out = TensorElement.of(f(sq.left.zero()), g(sq.right.zero()))
+        out = None
         for (mu, mv), c in self.terms.items():
-            _add_into(out.terms, TensorElement.of(f(sq.left.term(mu, c)), g(sq.right.term(mv))).terms)
+            # each ``of`` is new, so the first image holds the sum in place
+            image = TensorElement.of(f(sq.left._term(mu, c)), g(sq.right._term(mv)))
+            out = image if out is None else out._add_owned(image)
+        if out is None:
+            # only the empty tensor maps zeros, to learn the square of the targets
+            out = TensorElement.of(f(sq.left.zero()), g(sq.right.zero()))
         return out
 
     def to_json(self):
@@ -411,10 +420,7 @@ class TensorElement(Element):
     def from_json(square: TensorSquare, rows) -> "TensorElement":
         """The tensor of ``[u, v, c]`` rows as ``to_json`` writes them; u
         must be admissible in the left factor and v in the right."""
-        left, right = square.left, square.right
-        return TensorElement(square, {
-            (left._checked_mono(u), right._checked_mono(v)): ScalarQ.from_json(c) for u, v, c in rows
-        })
+        return TensorElement(square, {(tuple(u), tuple(v)): ScalarQ.from_json(c) for u, v, c in rows})
 
     def _term_strings(self):
         sq = self.algebra

@@ -105,7 +105,7 @@ def _coassociativity(delta: MorphismSpec, te: TensorElement):
     (u, (v, w))."""
     lhs = te.map_factors(delta.apply, _identity)
     rhs = te.map_factors(_identity, delta.apply)
-    return TensorElement(rhs.algebra, {(u, (v, w)): c for ((u, v), w), c in lhs.terms.items()}), rhs
+    return TensorElement._of(rhs.algebra, {(u, (v, w)): c for ((u, v), w), c in lhs.terms.items()}), rhs
 
 
 def _bialgebra_lines(alg: TriangularAlgebra, delta: MorphismSpec):
@@ -147,7 +147,7 @@ def _convolve(f, g, e):
     # a fresh zero that nothing else holds, filled in place
     out = alg.zero()
     for (u, v), c in coproduct(e).terms.items():
-        _add_into(out.terms, (f(alg.term(u, c)) * g(alg.term(v))).terms)
+        _add_into(out.terms, (f(alg._term(u, c)) * g(alg._term(v))).terms)
     return out
 
 

@@ -58,8 +58,11 @@ class TriangularAlgebra(QAlgebra):
 
     def a(self, i: int, j: int) -> Element:
         """The generator a[i,j], built on first use and shared after it:
-        elements are immutable (``_add_into`` only fills fresh zeros), and
-        two threads that both build it store equal values."""
+        elements are immutable, and two threads that both build it store
+        equal values.  The sums that write in place (``_add_into`` in
+        ``_convolve``, ``_add_owned`` in ``MorphismSpec._horner``,
+        ``_Leibniz`` and ``map_factors``) write only into values they have
+        just built, so neither ever writes into a cached generator."""
         gen = self._gens.get((i, j))
         if gen is None:
             gen = self._gens[i, j] = self.gen(self.gen_index(i, j))
@@ -116,7 +119,7 @@ def qdet(alg: TriangularAlgebra) -> Element:
     """The quantum determinant: the product of the diagonal generators,
     which is the monomial x^(1 on every diagonal) with coefficient 1, since
     diagonal generators commute with each other."""
-    return alg.term(tuple(int(i == j) for i, j in alg.gen_pairs))
+    return alg._term(tuple(int(i == j) for i, j in alg.gen_pairs))
 
 
 def tgen(alg: TriangularAlgebra) -> Element:
@@ -274,7 +277,7 @@ def b_element(i: int, j: int, alg: TriangularAlgebra) -> Element:
             if k not in chain:
                 mono[alg.gen_index(k, k)] = 1
         terms[tuple(mono)] = qpow(2 * (j - i) - s, (-1) ** s)
-    return Element(alg, terms)
+    return Element._of(alg, terms)
 
 
 def b_recurrence(i: int, j: int, alg: TriangularAlgebra, side: str = "left") -> Element:

@@ -192,16 +192,16 @@ def test_scalar_text_makes_no_element_product(monkeypatch, capsys):
 def test_generator_and_q_powers_build_no_element(monkeypatch):
     calls = count_element_ops(monkeypatch)
     built, powers = [], []
-    init, new, power = Element.__init__, Element._new, cli._Parser.power
-    monkeypatch.setattr(Element, "__init__", lambda self, *a: built.append("__init__") or init(self, *a))
-    monkeypatch.setattr(Element, "_new", lambda self, terms: built.append("_new") or new(self, terms))
+    of, power = Element._of.__func__, cli._Parser.power
+    # every element the library builds goes through the trusted _of
+    monkeypatch.setattr(Element, "_of", classmethod(lambda cls, alg, terms: built.append("_of") or of(cls, alg, terms)))
     monkeypatch.setattr(cli._Parser, "power", lambda self, e, k: powers.append(k) or power(self, e, k))
     # a[i,j]^k and q^k fold into the running coefficient and monomial, and
     # only the finished product becomes an Element
     got = parse("3*q^-1*a[1,1]^2*a[1,2]*a[2,2]^-1", U2)
     assert powers == []
     assert calls == []
-    assert built == ["__init__"]
+    assert built == ["_of"]
     assert got.terms == {(2, 1, -1): qpow(-1, 3)}
 
 

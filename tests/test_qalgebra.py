@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -21,6 +22,8 @@ from qtriangular.qalgebra import (
     tensor_square,
 )
 from qtriangular.triangular import antipode_spec, build, counit_spec, sigma_spec
+
+from helpers import random_sextuple
 
 
 def test_presentation_validation():
@@ -150,6 +153,46 @@ def test_units_and_inverse():
         T2.monomial((-1, 0, 0))
     with pytest.raises(TypeError):
         T2.monomial((1.5, 0, 0))  # not truncated to a[1,1]
+
+
+# (maker, wrap): maker(alg, mono) builds through a public, checked
+# constructor, and wrap(x) is what it builds from the monomial of x
+_CHECKED_MAKERS = [
+    (lambda alg, m: Element(alg, {m: 1}), lambda x: x),
+    (lambda alg, m: alg.monomial(m), lambda x: x),
+    (lambda alg, m: Element.from_json(alg, [[list(m), ONE.to_json()]]), lambda x: x),
+    (lambda alg, m: TensorElement(tensor_square(alg, alg), {(m, alg.unit_mono()): 1}),
+     lambda x: TensorElement.of(x, x.algebra.one())),
+    (lambda alg, m: TensorElement(tensor_square(alg, alg), {(alg.unit_mono(), m): 1}),
+     lambda x: TensorElement.of(x.algebra.one(), x)),
+    (lambda alg, m: TensorElement.from_json(tensor_square(alg, alg), [[list(m), list(alg.unit_mono()), ONE.to_json()]]),
+     lambda x: TensorElement.of(x, x.algebra.one())),
+]
+
+
+@pytest.mark.parametrize("make, wrap", _CHECKED_MAKERS, ids=[
+    "Element", "monomial", "Element.from_json", "TensorElement-left", "TensorElement-right", "TensorElement.from_json"])
+def test_public_constructors_check_every_monomial(make, wrap):
+    T2, U2 = build(2), build(2, True)
+    with pytest.raises(TypeError):
+        make(T2, (1.5, 0, 0))  # not a[1,1]^1.5
+    with pytest.raises(ValueError, match="inadmissible monomial"):
+        make(T2, (-1, 0, 0))  # a[1,1]^-1 lives in UT_q(2) alone
+    for wrong_length in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            make(T2, wrong_length)
+    assert make(U2, (-1, 0, 0)) == wrap(U2.a(1, 1) ** -1)
+
+
+def test_public_constructors_drop_zero_coefficients():
+    T2 = build(2)
+    assert Element(T2, {(1, 0, 0): 0, (0, 1, 0): 2}) == T2.a(1, 2).scale(2)
+    assert T2.monomial((1, 0, 0), 0) == T2.zero()
+    assert TensorElement(tensor_square(T2, T2), {((1, 0, 0), (0, 0, 0)): 0}) == tensor_square(T2, T2).zero()
+    with pytest.raises(ValueError):
+        Element(T2, {(-1, 0, 0): 0})  # checked though its coefficient is zero
+    with pytest.raises(ValueError):
+        T2.a(1, 1).transport(build(3))  # the wrong length
 
 
 def test_center_lattice_examples():
@@ -404,6 +447,98 @@ def test_inverse_self_check_survives_optimize():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+# Runs in a fresh interpreter, so that no cache is warm: counts the
+# elements built through the checked Element.__init__, per call.
+_COUNT_CHECKED = r"""
+import contextlib, io, json
+from qtriangular import cli
+from qtriangular.qalgebra import Element
+from qtriangular.structure import SUITES, negative_controls_report
+
+built = []
+init = Element.__init__
+
+def counted(self, algebra, terms):
+    built.append(type(self).__name__)
+    init(self, algebra, terms)
+
+Element.__init__ = counted
+counts = {}
+
+def count(label, run):
+    del built[:]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run() in (True, 0, 1), label
+    counts[label] = len(built)
+
+for name, suite in SUITES.items():
+    count(name, lambda: suite(4).passed)
+count("negative-controls", lambda: negative_controls_report(4).passed)
+for argv in ARGVS:
+    count(" ".join(argv), lambda: cli.main(argv))
+print(json.dumps(counts))
+"""
+
+# the README's normalize, equal, delta, counit, antipode, star, b and autos
+# commands, and one classification sweep
+_README_ARGVS = [
+    ["normalize", "a[2,2]*a[1,2] - q*a[1,2]*a[2,2]"],
+    ["equal", "a[2,2]*a[1,2]", "q*a[1,2]*a[2,2]"],
+    ["--n", "3", "delta", "a[1,3]"],
+    ["counit", "a[1,1]*a[2,2]"],
+    ["--localized", "antipode", "a[1,2]"],
+    ["--localized", "star", "a[1,1]"],
+    ["--n", "3", "b", "1", "3"],
+    ["autos", "compose", "[1,1,1,1,0,0]", "[1,1,1,0,1,0]"],
+    ["autos", "is-hopf", "[q,1,1,2,2,-2]"],
+    ["derivations", "classify", "--bound", "3"],
+]
+
+
+def test_library_builds_through_the_trusted_constructor():
+    # every suite of check all at n = 4, the negative controls and the
+    # README's commands build only through Element._of; the classification
+    # sweep builds through the checked monomial once per row, by design
+    from qtriangular.structure import SUITES
+
+    code = _COUNT_CHECKED.replace("ARGVS", repr(_README_ARGVS))
+    src = str(Path(qtriangular.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    rows = counts.pop("derivations classify --bound 3")
+    assert rows == 3 * 4**3
+    assert counts == dict.fromkeys([*SUITES, "negative-controls", *map(" ".join, _README_ARGVS[:-1])], 0)
+
+
+def test_map_factors_maps_no_zero(monkeypatch):
+    from qtriangular.autos import delta_compatible
+    from qtriangular.structure import check_bialgebra
+
+    empty = []
+    map_factors = TensorElement.map_factors
+
+    def watch(h):
+        def watched(x):
+            if not x.terms:
+                empty.append(x)
+            return h(x)
+        return watched
+
+    monkeypatch.setattr(TensorElement, "map_factors", lambda self, f, g: map_factors(self, watch(f), watch(g)))
+    rng = random.Random(5)
+    for _ in range(3):
+        delta_compatible(random_sextuple(rng))
+    assert check_bialgebra(3).passed
+    assert empty == []
+    # only the empty tensor maps zeros, to land in the square of the targets
+    T2 = build(2)
+    image = tensor_square(T2, T2).zero().map_factors(counit_spec(T2), lambda x: x)
+    assert image.algebra is tensor_square(SCALARS, T2) and not image
+    assert len(empty) == 2
 
 
 def test_is_point_rejects_a_mixed_target_tuple():
