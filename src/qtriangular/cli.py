@@ -35,14 +35,20 @@ argv of the plain shape (global flags, each a whole token, then a command
 with exactly its positionals) with ``_read_argv``, which builds argparse's
 ``Namespace`` from the same tables without building the tree; every other
 argv, and so every usage, help and error text, goes to argparse.
-``--json`` prints the bytes of ``json.dumps(payload, indent=2)``, written
-without json's pure-Python encoder.
+
+Every command writes to stdout through ``_emit``, which builds a JSON
+payload only under ``--json``.  The expression, sextuple and ``b`` commands
+then print the bytes of ``json.dumps(payload, indent=2)``, written without
+json's pure-Python encoder; ``center``, ``check`` and ``derivations`` print
+compact ``json.dumps``.  A closed stdout ends a command with exit code 141
+and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -328,13 +334,16 @@ def parse(text: str, alg: TriangularAlgebra) -> Element:
     return alg.scalar(e) if isinstance(e, ScalarQ) else e
 
 
-def format_element(e: Element) -> str:
-    """Canonical text form; monomials are ordered by descending exponent
-    vectors in the lexicographic generator order."""
+def format_element(e: Element | TensorElement | ScalarQ) -> str:
+    """Canonical text form of every value the CLI prints: elements, tensors
+    and scalars.  Monomials are ordered by descending exponent vectors in
+    the lexicographic generator order."""
     return str(e)
 
 
 def format_tensor(te: TensorElement) -> str:
+    """``format_element`` for a tensor: a public alias, kept as its own
+    function because ``perfbench`` hooks both names."""
     return str(te)
 
 
@@ -380,57 +389,44 @@ def _indented(value, indent: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
-def _emit(args, text: str, payload):
-    print(_indented(payload) if args.json else text)
+def _emit(args, text: str, payload, indented: bool = True):
+    """The only writer to stdout: ``text``, or under ``--json`` the document
+    that ``payload()`` builds, laid out as ``json.dumps(indent=2)`` lays it
+    out, or as compact ``json.dumps`` where ``indented`` is False.  It
+    flushes, so that a closed stdout raises inside ``main``."""
+    if args.json:
+        doc = payload()
+        text = _indented(doc) if indented else json.dumps(doc)
+    print(text, flush=True)
 
 
-def _emit_element(args, e: Element) -> int:
-    text = format_element(e)
-    _emit(args, text, {"expr": text, "terms": e.to_json()})
+def _parsed(args) -> Element:
+    return parse(args.expr, _algebra(args))
+
+
+def _cmd_value(args) -> int:
+    """normalize, delta, counit, antipode, star and b: the element, tensor
+    or scalar ``args.value(args)``, whose text the payload holds under
+    ``args.key``."""
+    value = args.value(args)
+    text = format_element(value)
+    _emit(args, text, lambda: {args.key: text, "terms": value.to_json()})
     return 0
-
-
-def _cmd_map(args) -> int:
-    """normalize, antipode and star: the parsed expression under ``args.map``."""
-    return _emit_element(args, args.map(parse(args.expr, _algebra(args))))
 
 
 def _cmd_equal(args) -> int:
     alg = _algebra(args)
     same = parse(args.lhs, alg) == parse(args.rhs, alg)
-    _emit(args, "equal" if same else "not equal", {"equal": same})
+    _emit(args, "equal" if same else "not equal", lambda: {"equal": same})
     return 0 if same else 1
-
-
-def _cmd_delta(args) -> int:
-    te = coproduct(parse(args.expr, _algebra(args)))
-    text = format_tensor(te)
-    _emit(args, text, {"tensor": text, "terms": te.to_json()})
-    return 0
-
-
-def _cmd_counit(args) -> int:
-    s = counit(parse(args.expr, _algebra(args)))
-    text = str(s)
-    _emit(args, text, {"scalar": text, "terms": s.to_json()})
-    return 0
-
-
-def _cmd_b(args) -> int:
-    return _emit_element(args, b_element(args.i, args.j, _algebra(args)))
 
 
 def _cmd_center(args) -> int:
     lat = center_lattice(_algebra(args))
-    if args.json:
-        print(json.dumps(lat._asdict()))
-        return 0
-    if not lat.generators:
-        print("Z = K (no central monomials beyond scalars)")
-    for v in lat.generators:
-        print(f"central monomial direction: {tuple(v)}")
-    for v in lat.violations:
-        print(f"kernel direction outside the admissible cone: {tuple(v)}")
+    lines = [f"central monomial direction: {tuple(v)}" for v in lat.generators] or [
+        "Z = K (no central monomials beyond scalars)"]
+    lines += [f"kernel direction outside the admissible cone: {tuple(v)}" for v in lat.violations]
+    _emit(args, "\n".join(lines), lat._asdict, indented=False)
     return 0
 
 
@@ -448,33 +444,20 @@ def _cmd_check(args) -> int:
         else structure.SUITES[name](args.n, seed=args.seed)
         for name in names
     ]
-    if args.json:
-        print(json.dumps([r._asdict() for r in reports]))
-    else:
-        for rep in reports:
-            print(rep.line())
+    _emit(args, "\n".join(rep.line() for rep in reports), lambda: [r._asdict() for r in reports], indented=False)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_derivations(args) -> int:
     if args.action == "classify":
         rows = classify_T2(args.bound)
-        if args.json:
-            print(json.dumps([
-                {"s": st[0], "t": st[1], "nu": list(nu), "verdict": verdict}
-                for st, nu, verdict in rows
-            ]))
-        else:
-            for st, nu, verdict in rows:
-                word = "derivation" if verdict else "not a derivation"
-                print(f"D[{st[0]},{st[1]}] nu={nu}: {word}")
+        text = "\n".join(f"D[{s},{t}] nu={nu}: {'derivation' if v else 'not a derivation'}" for (s, t), nu, v in rows)
+        _emit(args, text, lambda: [{"s": s, "t": t, "nu": list(nu), "verdict": v} for (s, t), nu, v in rows],
+              indented=False)
         # classify_T2 raises on any verdict against dertypes_expected
         return 0
     rep = utq2_derivation_table()
-    if args.json:
-        print(json.dumps({"name": rep.name, "passed": rep.passed, "witness": rep.witness}))
-    else:
-        print(rep.line())
+    _emit(args, rep.line(), lambda: {"name": rep.name, "passed": rep.passed, "witness": rep.witness}, indented=False)
     return 0 if rep.passed else 1
 
 
@@ -485,15 +468,15 @@ def _cmd_autos(args) -> int:
         return 2
     if args.action == "decompose":
         factors = [str(g) for g in g_decompose(parse_sextuple(args.args[0]))]
-        _emit(args, " * ".join(factors), {"factors": factors})
+        _emit(args, " * ".join(factors), lambda: {"factors": factors})
         return 0
     if args.action == "is-hopf":
         verdict = is_hopf_auto(parse_sextuple(args.args[0]))
-        _emit(args, "hopf" if verdict else "not hopf", {"hopf": verdict})
+        _emit(args, "hopf" if verdict else "not hopf", lambda: {"hopf": verdict})
         return 0 if verdict else 1
     op = {"compose": g_compose, "invert": g_inverse, "conjugate": rho_conjugate}[args.action]
-    out = op(*map(parse_sextuple, args.args))
-    _emit(args, str(out), {"sextuple": str(out)})
+    text = str(op(*map(parse_sextuple, args.args)))
+    _emit(args, text, lambda: {"sextuple": text})
     return 0
 
 
@@ -506,17 +489,24 @@ _FLAGS = (
 )
 
 #: the commands: name, help, arguments in order (each a name and its argparse
-#: keywords) and ``set_defaults``.  ``_read_argv`` relies on their shapes: only
-#: a command's last positional takes ``nargs``, every option has a default,
-#: and every flag stores its value or ``True``
+#: keywords) and ``set_defaults``: the handler ``fn``, and for a value command
+#: the payload ``key`` and the ``value``, which calls the library by its global
+#: name, so that a hook rebinding it sees the call.  ``_read_argv`` relies on
+#: their shapes: only a command's last positional takes ``nargs``, every
+#: option has a default, and every flag stores its value or ``True``
 _COMMANDS = (
-    ("normalize", "normal form of an expression", [("expr", {})], dict(fn=_cmd_map, map=lambda e: e)),
+    ("normalize", "normal form of an expression", [("expr", {})], dict(fn=_cmd_value, key="expr", value=_parsed)),
     ("equal", "exact equality of two expressions", [("lhs", {}), ("rhs", {})], dict(fn=_cmd_equal)),
-    ("delta", "comultiplication of an expression", [("expr", {})], dict(fn=_cmd_delta)),
-    ("counit", "counit of an expression", [("expr", {})], dict(fn=_cmd_counit)),
-    ("antipode", "antipode (localized algebra only)", [("expr", {})], dict(fn=_cmd_map, map=antipode)),
-    ("star", "Hopf *-involution (localized algebra only)", [("expr", {})], dict(fn=_cmd_map, map=star)),
-    ("b", "the cofactor-like element b[i,j]", [("i", dict(type=int)), ("j", dict(type=int))], dict(fn=_cmd_b)),
+    ("delta", "comultiplication of an expression", [("expr", {})],
+     dict(fn=_cmd_value, key="tensor", value=lambda args: coproduct(_parsed(args)))),
+    ("counit", "counit of an expression", [("expr", {})],
+     dict(fn=_cmd_value, key="scalar", value=lambda args: counit(_parsed(args)))),
+    ("antipode", "antipode (localized algebra only)", [("expr", {})],
+     dict(fn=_cmd_value, key="expr", value=lambda args: antipode(_parsed(args)))),
+    ("star", "Hopf *-involution (localized algebra only)", [("expr", {})],
+     dict(fn=_cmd_value, key="expr", value=lambda args: star(_parsed(args)))),
+    ("b", "the cofactor-like element b[i,j]", [("i", dict(type=int)), ("j", dict(type=int))],
+     dict(fn=_cmd_value, key="expr", value=lambda args: b_element(args.i, args.j, _algebra(args)))),
     ("center", "central monomial directions", [], dict(fn=_cmd_center)),
     ("check", "run verification suites", [("suites", dict(nargs="*", help="suite names, or 'all'"))],
      dict(fn=_cmd_check)),
@@ -541,8 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
     and reading a plain argv cost nothing extra.  Reuse leaks no state
     between calls: ``parse_args`` and every subparser fill a fresh
     ``Namespace``, no action has a mutable shared default (``nargs`` lists
-    are made per call), and the ``fn`` and ``map`` defaults are stateless
-    functions.
+    are made per call), and of the ``fn``, ``key`` and ``value`` defaults
+    ``key`` is a string and the others are stateless functions.
     """
     top = argparse.ArgumentParser(
         prog="qtriangular",
@@ -643,6 +633,14 @@ def main(argv=None) -> int:
     except (ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader is gone: point its descriptor at the null device,
+        # so that the flush at exit stays silent, and exit as a tool that
+        # SIGPIPE ends does (128 + 13)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

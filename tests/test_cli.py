@@ -18,7 +18,7 @@ from helpers import count_element_ops, random_sextuple, random_unit
 
 from qtriangular.cli import ParseError, format_element, main, parse, parse_scalar, parse_sextuple
 from qtriangular.coeff import ONE, GaussianRational, ScalarQ, qpow
-from qtriangular.qalgebra import Element, random_element
+from qtriangular.qalgebra import Element, TensorElement, random_element
 from qtriangular.triangular import (
     antipode, b_element, build, coproduct, delta_spec, gamma_spec, rho_spec, sigma_spec,
 )
@@ -784,3 +784,59 @@ def test_failing_check_json_bytes(capsys, monkeypatch):
         '[{"name": "bialgebra", "n": 2, "passed": false, '
         '"witness": ["Delta(a[1,1]) is multiplicative", "a[1,1]", "0"]}]\n'
     )
+
+
+@pytest.mark.parametrize("argv", [["--n", "12", "b", "1", "12"], ["--n", "3", "--json", "delta", "a[1,3]"],
+                                  ["--n", "3", "normalize", "a[1,3]"]])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    # the pipe's read end is closed before the command starts, so its first
+    # write to stdout fails
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(qtriangular.__file__).resolve().parent.parent)}
+    try:
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "qtriangular", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+#: an argv per value command, and the library functions it calls through
+#: ``cli``'s globals
+VALUE_COMMANDS = (
+    (["normalize", "a[1,2]"], ["parse"]),
+    (["delta", "a[1,2]"], ["parse", "coproduct"]),
+    (["counit", "a[1,1]*a[2,2]"], ["parse", "counit"]),
+    (["--localized", "antipode", "a[1,2]"], ["parse", "antipode"]),
+    (["--localized", "star", "a[1,2]"], ["parse", "star"]),
+    (["--n", "3", "b", "1", "3"], ["b_element"]),
+)
+
+
+@pytest.mark.parametrize("argv, names", VALUE_COMMANDS)
+def test_value_commands_call_the_library_by_its_global_name(argv, names, monkeypatch, capsys):
+    # perfbench's hooks rebind these globals, and a command holding its own
+    # reference to a function would escape them
+    calls = []
+    for name in ("parse", "coproduct", "counit", "antipode", "star", "b_element"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    assert main(argv) == 0
+    assert sorted(calls) == sorted(names)
+
+
+def test_plain_output_builds_no_json_payload(monkeypatch, capsys):
+    calls = []
+    for cls in (Element, TensorElement, ScalarQ):
+        monkeypatch.setattr(cls, "to_json", lambda self, to_json=cls.to_json: calls.append(self) or to_json(self))
+    S = "[2*q,1/2,i,1,2,-1]"
+    others = [["equal", "a[1,2]", "q*a[1,2]"], ["autos", "compose", S, S], ["autos", "invert", S],
+              ["autos", "decompose", S], ["autos", "is-hopf", S], ["--localized", "center"]]
+    for argv in [argv for argv, _ in VALUE_COMMANDS] + others:
+        main(argv)
+        assert calls == [], argv
+    for argv, _ in VALUE_COMMANDS:
+        assert main(["--json", *argv]) == 0
+        assert calls, argv
+        calls.clear()
