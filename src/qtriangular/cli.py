@@ -10,16 +10,19 @@ Grammar (whitespace insensitive, explicit '*' only):
     gen    := 'a' '[' digits ',' digits ']'
     int    := '-'? digits
 
-A whole ``gen``, whitespace inside its brackets included, is one token; an
-'a' that does not start one is read part by part, so the error names the
-first wrong part and its position.  A subexpression built from rationals,
-'i' and 'q' alone is computed as a ``ScalarQ`` (Laurent arithmetic); it
-becomes an ``Element`` where it meets one, or at the end of ``parse``.  A
-product of scalars, generator powers and other one-term factors is folded
-into one coefficient and one monomial; only a factor of several terms
-makes an ``Element`` product.  A generator power ``a[i,j]^k`` or a ``q^k``
-builds no ``Element`` at all: it adds k to the monomial or shifts the
-coefficient.
+The text is split into tokens by one ``findall``; a token keeps no
+position, and an error finds its token's by scanning the text again with
+the same regex.  A whole ``gen``, whitespace inside its brackets included,
+is one token; an 'a' that does not start one is read part by part, so the
+error names the first wrong part and its position.  A subexpression built
+from rationals, 'i' and 'q' alone is computed as a ``ScalarQ`` (Laurent
+arithmetic); it becomes an ``Element`` where it meets one, or at the end
+of ``parse``.  A product of scalars, generator powers and other one-term
+factors is folded into one coefficient and one list of exponents; only a
+factor of several terms makes an ``Element`` product.  A generator power
+``a[i,j]^k`` builds no ``Element`` at all: it adds k to the exponents,
+after a q-shift of the coefficient when a later generator is already
+there; ``q^k`` shifts the coefficient.
 
 A sextuple ``autos`` argument is read by the same grammar, its first three
 entries as expressions without generators:
@@ -53,7 +56,9 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .coeff import I, ONE, ZERO, ScalarQ
 from .qalgebra import Element, TensorElement, center_lattice
@@ -101,28 +106,20 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<gen>a\s*\[\s*(\d+)\s*,\s*(\d+)\s*\])|(?P<int>\d+)|(?P<name>det|[aiqtz])"
-    r"|(?P<op>[-+*^/()\[\],])|(?P<bad>\S))"
-)
+_TOKEN = re.compile(r"\s*(?:a\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]|(\d+|det|[aiqtz]|[-+*^/()\[\],])|(\S))")
+_END = ("", "", "", "")  # the token after the last one
 
 
 def _tokenize(text: str):
-    """(kind, text, position, indices) tuples, ending with an "end" token.
-    A generator ``a[i,j]`` is one "gen" token whose text is "a" and whose
-    indices are the two digit strings; every other token has indices None.
-    An unknown character is reported at the start of the whitespace before
-    it."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "gen":
-            tokens.append((kind, "a", m.start(kind), m.group(2, 3)))
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start())
-        else:
-            tokens.append((kind, m.group(kind), m.start(kind), None))
-    tokens.append(("end", "", len(text), None))
+    """(i, j, text, bad) tuples from one ``findall``, ending with ``_END``.
+    A generator has its digit strings i and j and an empty text; every
+    other token has empty i and j.  An unknown character (``bad``) raises
+    here, at the start of the whitespace before it."""
+    tokens = _TOKEN.findall(text)
+    if any(map(itemgetter(3), tokens)):
+        m = next(m for m in _TOKEN.finditer(text) if m[4])
+        raise ParseError(f"unexpected character {m[4]!r}", m.start())
+    tokens.append(_END)
     return tokens
 
 
@@ -142,107 +139,106 @@ class _Parser:
     """Each production returns its value in the smallest structure that
     holds it: a ``ScalarQ`` for text without generators and without
     ``det``, ``t`` or ``z``, else an ``Element``.  Scalars meet elements
-    through ``Element``'s own mixed arithmetic, which coerces or scales."""
+    through ``Element``'s own mixed arithmetic, which coerces or scales.
+
+    ``i`` indexes the next token; a production reads an operator or a name
+    by comparing that token's text.  An error names its token by index."""
 
     def __init__(self, text: str, alg: TriangularAlgebra):
         self.alg = alg
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def fail(self, message: str, k: int | None = None) -> ParseError:
+        """The error ``message`` at token k (the next by default), placed only
+        now, by scanning the text again; ``_END`` stands at the text's end."""
+        matches = islice(_TOKEN.finditer(self.text), self.i if k is None else k, None)
+        return ParseError(message, next((m.end() - len(m[0].lstrip()) for m in matches), len(self.text)))
 
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.i]
-        if kind and tok[0] != kind or value is not None and tok[1] != value:
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok[1]!r}", tok[2])
+    def take(self, want: str) -> str:
+        """The next token's text, which must be the operator ``want``, or
+        digits where ``want`` is "int".  An error quotes a generator as "a"."""
+        i, _, text, _ = self.tokens[self.i]
+        if text != want and not (want == "int" and text.isdigit()):
+            raise self.fail(f"expected {want!r}, found {'a' if i else text!r}")
         self.i += 1
-        return tok
-
-    def accept(self, op: str):
-        """Take the next token if it is the operator ``op``: the token, or None."""
-        tok = self.tokens[self.i]
-        if tok[1] == op and tok[0] == "op":
-            self.i += 1
-            return tok
-        return None
+        return text
 
     def read(self, production):
         """One ``production`` (an unbound method) and then the end of the text."""
         value = production(self)
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        i, _, text, _ = tok = self.tokens[self.i]
+        if tok is not _END:
+            raise self.fail(f"unexpected trailing input {'a' if i else text!r}")
         return value
 
     def expr(self) -> Element | ScalarQ:
         e = self.term()
-        while op := self.accept("+") or self.accept("-"):
+        while (op := self.tokens[self.i][2]) in ("+", "-"):
+            self.i += 1
             rhs = self.term()
-            e = e + rhs if op[1] == "+" else e - rhs
+            e = e + rhs if op == "+" else e - rhs
         return e
 
     def term(self) -> Element | ScalarQ:
-        """A product, held as e * c * x^mono: e an ``Element`` or None (1),
-        c a ``ScalarQ`` and mono an exponent tuple or None (no generator
-        yet).  A generator power a[i,j]^k is the exponent k at the
-        generator's index and q^k shifts c, so neither builds an
-        ``Element``; a factor's leading signs negate c.  Another scalar
-        factor multiplies c, and a one-term factor s * x^m folds into c
-        and mono through ``monomial_mul``, as a generator power does; only
-        a factor of more terms makes an ``Element`` product, after the
-        pending c * x^mono joins e."""
-        alg = self.alg
-        e, c, mono = None, ONE, None
+        """A product, held as e * c * x^exps: e an ``Element`` or None (1),
+        c a ``ScalarQ`` and exps a list of exponents or None (no generator
+        yet).  a[i,j]^k adds k at the generator's index g, after shifting c
+        by k * sum_{a>g} exps[a] * M[a][g] if a later generator is present,
+        and q^k shifts c, so neither builds an ``Element``.  A factor's
+        leading signs negate c.  A scalar factor multiplies c, and a
+        one-term factor s * x^m folds into c and exps through
+        ``monomial_mul``; only a factor of more terms makes an ``Element``
+        product, after the pending c * x^exps joins e."""
+        alg, tokens = self.alg, self.tokens
+        e, c, exps = None, ONE, None
         while True:
             negate = False
-            while self.accept("-"):
+            while tokens[self.i][2] == "-":
+                self.i += 1
                 negate = not negate
-            # the factor as s * x^m, m None for the unit monomial
-            m, s = None, ONE
-            kind, value, pos, indices = self.tokens[self.i]
-            if kind == "gen":
-                self.i += 1
-                i, j = map(int, indices)
+            k = self.i
+            i, j, value, _ = tokens[k]
+            if i:
+                self.i = k + 1
+                i, j = int(i), int(j)
                 if not (1 <= i <= j <= alg.n):
-                    raise ParseError(f"generator a[{i},{j}] out of range for n={alg.n}", pos)
+                    raise self.fail(f"generator a[{i},{j}] out of range for n={alg.n}", k)
                 g = alg.gen_index(i, j)
-                m = [0] * alg.ngens
-                m[g] = self.exponent(alg.invertible[g])
-                m = tuple(m)
-            elif kind == "name" and value == "q":
-                self.i += 1
+                p = self.exponent(alg.invertible[g])
+                if exps is None:
+                    exps = [0] * alg.ngens
+                elif any(exps[g + 1:]):
+                    c = c.q_shift(p * sum(exps[a] * alg.M[a][g] for a in range(g + 1, alg.ngens)))
+                exps[g] += p
+            elif value == "q":
+                self.i = k + 1
                 c = c.q_shift(self.exponent(True))
             else:
                 f = self.factor()
-                if isinstance(f, ScalarQ):
-                    s = f
-                elif len(f.terms) == 1:
-                    ((m, s),) = f.terms.items()
-                else:
-                    e = self.folded(e, c, mono)
+                if isinstance(f, Element) and len(f.terms) != 1:
+                    e = self.folded(e, c, exps)
                     e = f if e is ONE else e * f
-                    c, mono = ONE, None
-            if m is not None:
-                if mono is None:
-                    mono = m
-                else:
-                    w, mono = alg.monomial_mul(mono, m)
-                    c = c.q_shift(w)
-            if s is not ONE:
-                c = s if c is ONE else c * s
+                    c, exps, f = ONE, None, ONE
+                elif isinstance(f, Element):
+                    ((m, f),) = f.terms.items()
+                    w, m = alg.monomial_mul(exps, m) if exps else (0, m)
+                    c, exps = c.q_shift(w), list(m)
+                if f is not ONE:
+                    c = f if c is ONE else c * f
             if negate:
                 c = -c
-            if not self.accept("*"):
-                return self.folded(e, c, mono)
+            if tokens[self.i][2] != "*":
+                return self.folded(e, c, exps)
+            self.i += 1
 
-    def folded(self, e, c: ScalarQ, mono):
-        """e * c * x^mono, where e None stands for 1 and mono None for the
+    def folded(self, e, c: ScalarQ, exps):
+        """e * c * x^exps, where e None stands for 1 and exps None for the
         unit monomial: c itself when both are None."""
-        if mono is not None:
-            c = self.alg._term(mono, c)
+        if exps is not None:
+            c = self.alg._term(tuple(exps), c)
         return c if e is None else e if c is ONE else e * c
 
     def factor(self) -> Element | ScalarQ:
@@ -253,12 +249,13 @@ class _Parser:
     def exponent(self, unit: bool) -> int:
         """k of an optional '^' k after a base, else 1.  A negative k needs
         the base to be a unit, and is reported at the caret otherwise."""
-        caret = self.accept("^")
-        if not caret:
+        caret = self.i
+        if self.tokens[caret][2] != "^":
             return 1
+        self.i = caret + 1
         k = self.signed_int()
         if k < 0 and not unit:
-            raise ParseError("element is not a unit", caret[2])
+            raise self.fail("element is not a unit", caret)
         return k
 
     def power(self, e: Element | ScalarQ, k: int) -> Element | ScalarQ:
@@ -273,58 +270,62 @@ class _Parser:
         return self.alg._term(tuple(k * x for x in m), s.q_shift(w * k * (k - 1) // 2))
 
     def signed_int(self) -> int:
-        sign = -1 if self.accept("-") else 1
-        return sign * int(self.take("int")[1])
+        negative = self.tokens[self.i][2] == "-"
+        self.i += negative
+        k = int(self.take("int"))
+        return -k if negative else k
 
     def atom(self) -> Element | ScalarQ:
-        kind, value, pos, _ = self.take()
-        if kind == "int":
-            if self.accept("/"):
-                dtok = self.take("int")
-                if int(dtok[1]) == 0:
-                    raise ParseError("zero denominator", dtok[2])
-                return ScalarQ.constant(Fraction(int(value), int(dtok[1])))
+        k = self.i
+        self.i = k + 1
+        value = self.tokens[k][2]
+        if value.isdigit():
+            if self.tokens[self.i][2] == "/":
+                self.i += 1
+                den = int(self.take("int"))
+                if den == 0:
+                    raise self.fail("zero denominator", self.i - 1)
+                return ScalarQ.constant(Fraction(int(value), den))
             return ScalarQ.constant(int(value))
         if value in _NAMED:
             if value in _LOCALIZED and not self.alg.localized:
-                raise ParseError(f"{value} needs the localized algebra", pos)
+                raise self.fail(f"{value} needs the localized algebra", k)
             return _NAMED[value](self.alg)
         if value == "a":
-            # a malformed generator (a whole one is a "gen" token): take its
-            # parts one by one, reading digits as ``gen`` does, so that the
-            # first wrong part is reported where it stands
-            self.take("op", "[")
-            int(self.take("int")[1])
-            self.take("op", ",")
-            int(self.take("int")[1])
-            self.take("op", "]")
+            # a malformed generator: take its parts one by one, reading digits as
+            # the generator token does, so that the first wrong part is reported
+            self.take("[")
+            int(self.take("int"))
+            self.take(",")
+            int(self.take("int"))
+            self.take("]")
         if value == "(":
             if self.depth == MAX_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
+                raise self.fail(f"parentheses nested deeper than {MAX_DEPTH}", k)
             self.depth += 1
             e = self.expr()
-            self.take("op", ")")
+            self.take(")")
             self.depth -= 1
             return e
-        raise ParseError(f"unexpected token {value!r}", pos)
+        raise self.fail(f"unexpected token {value!r}", k)
 
     def scalar(self) -> ScalarQ:
         """An expression without generators, as a scalar."""
-        pos = self.peek()[2]
+        k = self.i
         e = self.expr()
         if isinstance(e, ScalarQ):
             return e
         unit = e.algebra.unit_mono()
         if any(mono != unit for mono in e.terms):
-            raise ParseError("expected a scalar expression without generators", pos)
+            raise self.fail("expected a scalar expression without generators", k)
         return e.terms.get(unit, ZERO)
 
     def sextuple(self) -> Sextuple:
         entries = []
         for sep, entry in zip("[,,,,,", (self.scalar,) * 3 + (self.signed_int,) * 3):
-            self.take("op", sep)
+            self.take(sep)
             entries.append(entry())
-        self.take("op", "]")
+        self.take("]")
         return Sextuple(*entries)
 
 

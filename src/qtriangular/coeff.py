@@ -53,6 +53,18 @@ def _gr(r: int, s: int, d: int) -> "GaussianRational":
     return x
 
 
+def _lowest(n: int, d: int):
+    """Fraction(n, d)'s numerator and denominator for d > 0, built from ints."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _fraction_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    n, d = _lowest(n, d)
+    return f"{n}/{d}" if d != 1 else str(n)
+
+
 def _reduced(r: int, s: int, d: int) -> "GaussianRational":
     """The value (r + s*i)/d for d > 0, divided through by gcd(r, s, d)."""
     if d != 1:
@@ -167,24 +179,14 @@ class GaussianRational:
         return _power(_ONE_GR, self if n >= 0 else self.inverse(), abs(n))
 
     def __str__(self):
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}*i"
-        if im == 1:
-            imtxt = "+i"
-        elif im == -1:
-            imtxt = "-i"
-        elif im > 0:
-            imtxt = f"+{im}*i"
-        else:
-            imtxt = f"-{-im}*i"
-        return f"({re}{imtxt})"
+        r, s, d = self.r, self.s, self.d
+        if s == 0:
+            return _fraction_text(r, d)
+        # the imaginary part is +-1 when s = +-d
+        im = "i" if abs(s) == d else f"{_fraction_text(abs(s), d)}*i"
+        if r == 0:
+            return im if s > 0 else f"-{im}"
+        return f"({_fraction_text(r, d)}{'+' if s > 0 else '-'}{im})"
 
     __repr__ = __str__
 
@@ -439,11 +441,7 @@ class ScalarQ(_SparseSum):
 
     def to_json(self):
         """List of [exponent, re_num, re_den, im_num, im_den], sorted by exponent."""
-        out = []
-        for k, c in sorted(self.terms.items()):
-            re, im = c.re, c.im
-            out.append([k, re.numerator, re.denominator, im.numerator, im.denominator])
-        return out
+        return [[k, *_lowest(c.r, c.d), *_lowest(c.s, c.d)] for k, c in sorted(self.terms.items())]
 
     @staticmethod
     def from_json(data) -> "ScalarQ":

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import qtriangular
 from qtriangular import cli, deriv, structure
@@ -134,10 +135,50 @@ def test_parser_matches_the_oracle_on_malformed_input(text):
     "(a[1,1]*a[1,2])^3", "(2*q*a[1,2]*a[1,1])^2*a[1,1]", "(i*a[2,2]*a[1,2]*a[1,1]^2)^5", "(a[1,2]*a[1,1])^0",
     "(q^2*a[1,1]*a[2,2]^-1)^-3", "(-a[1,2])^3*(-a[1,1])^-1", "a[1,2]^2*a[1,1]^3*a[1,2]*(a[1,1]+a[1,2])*a[1,1]",
     "-q^-2*a[1,1]^-2*-a[1,2]", "a[1,2]*q*a[1,1]^0*q^-1",
+    # out of order at n = 3: each generator below one already present shifts by q
+    "a[2,3]*a[1,2]*a[1,1]^-1", "a[1,1]*a[1,1]^-1*a[1,2]", "a[3,3]^2*a[1,1]^0*a[1,3]",
+    "a[3,3]*a[2,3]^2*a[2,2]^-1*a[1,3]*a[1,1]", "a[1,3]*(2*a[2,3]*a[1,2])^2*a[1,1]",
 ])
 def test_one_term_products_and_powers_match_the_oracle(text):
     for alg in (T2, U2, build(3, True)):
         _same_as_oracle(text, alg)
+
+
+_WS = st.sampled_from(["", "", " ", "\t "])
+_INDEX = st.sampled_from(["1", "2", "1", "2", "3", "01", "002"])
+_GEN = st.builds("a{}[{}{}{},{}{}{}]".format, _WS, _WS, _INDEX, _WS, _WS, _INDEX, _WS)
+_POWER = st.builds("^{}{}{}".format, st.sampled_from(["", "", "", "-", "- "]), _WS, st.sampled_from(["0", "1", "2", "01"]))
+_ATOM = st.one_of(_GEN, _GEN, st.sampled_from(["1", "2", "007", "10", "3/4", "007/02", "q", "i", "det", "t", "z"]))
+_FACTOR = st.builds("{}{}{}".format, st.sampled_from(["", "", "", "-", "- -"]), st.one_of(
+    _ATOM, _ATOM, st.builds("({}+{})".format, _ATOM, _ATOM)), st.one_of(st.just(""), _POWER))
+#: what may break a string: stray characters, lone operators and names, zero
+#: denominators and generator indices out of range
+_NOISE = st.sampled_from(["@", "x", "e", "d", "\u00e9", "\u00b2", "a", "(", ")", "[", "]", ",", "^", "/", "*",
+                          "+", "1/0", "1/00", "a[0,1]", "a[2,1]", "a[1,4]", "a[1,2", " "])
+
+
+def _noisy(first, rest, noise):
+    text = first + "".join(op + factor for op, factor in rest)
+    for at, piece in noise:
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at:]
+    return text
+
+
+#: the differential test's strings, over the token alphabet: factors (a
+#: generator with inner whitespace, an int with leading zeros, a name or a
+#: group, with signs and a power) joined by operators, with noise pieces put
+#: anywhere, the end of the text included
+_TEXTS = st.builds(_noisy, _FACTOR, st.lists(st.tuples(st.sampled_from(["*", "*", "+", "-"]), _FACTOR), max_size=4),
+                   st.lists(st.tuples(st.integers(0, 99), _NOISE), max_size=2))
+
+
+@seed(20261022)
+@settings(max_examples=600, deadline=None, database=None)
+@given(_TEXTS, st.sampled_from([T2, U2, build(3, True)]))
+def test_random_token_strings_match_the_oracle(text, alg):
+    _same_as_oracle(text, alg)
+    _same_as_oracle(f"[{text},1,1,0,0,0]", alg)
 
 
 def _workloads():
@@ -162,8 +203,9 @@ def test_parser_matches_the_oracle_on_session_inputs(seed):
 
 
 def test_a_generator_is_one_token_with_inner_whitespace(capsys):
-    assert [tok[:2] for tok in cli._tokenize("a [ 1 , 2 ]*a[1,1]")] == [
-        ("gen", "a"), ("op", "*"), ("gen", "a"), ("end", "")]
+    # (i, j, text, bad): a generator carries its two digit strings
+    assert cli._tokenize("a [ 1 , 2 ]*a[1,1]") == [
+        ("1", "2", "", ""), ("", "", "*", ""), ("1", "1", "", ""), cli._END]
     assert parse("a [ 1 , 2 ]*a[1,1]", T2) == T2.a(1, 2) * T2.a(1, 1)
     assert main(["normalize", "a [ 1 , 2 ]*a[1,1]"]) == 0
     assert capsys.readouterr().out == "q^-1*a[1,1]*a[1,2]\n"

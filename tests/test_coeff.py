@@ -259,6 +259,24 @@ def test_scalar_json_matches_fraction_reference(raw):
         _check_normal(c)
 
 
+def test_text_and_json_match_the_fraction_formulas():
+    big = 10**59 + 7
+    values = [(r, s, d) for d in range(1, 13) for r in range(-12, 13) for s in range(-12, 13)]
+    # 60-digit parts, with s = +-d (imaginary part +-1) among them
+    values += [(r, s, d) for d in (1, 3 * big, 10**60 - 1) for r in (0, big, -big, 2 * big)
+               for s in (0, d, -d, big, -3 * big)]
+    for d in sorted({d for _, _, d in values}):
+        # the values of one denominator at exponents 0, 1, ...: one scalar
+        cs = [GaussianRational(Fraction(r, d), Fraction(s, d)) for r, s, dd in values if dd == d]
+        for c in cs:
+            assert str(c) == _ref_str(c.re, c.im), (c.r, c.s, c.d)
+        want = [[k, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
+                for k, c in enumerate(cs) if c]
+        assert ScalarQ(dict(enumerate(cs))).to_json() == want, d
+    # a value whose imaginary part is -1 with d > 1 prints "-i", not "-1*i"
+    assert str(GaussianRational(Fraction(-9, 8), -1)) == "(-9/8-i)"
+
+
 def test_negative_denominator_inputs():
     x = GaussianRational(Fraction(1, -3), 2)
     assert (x.r, x.s, x.d) == (-1, 6, 3)
