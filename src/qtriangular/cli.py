@@ -222,7 +222,7 @@ class _Parser:
                     e = self.folded(e, c, exps)
                     e = f if e is ONE else e * f
                     c, exps, f = ONE, None, ONE
-                elif isinstance(f, Element):
+                elif isinstance(f, Element):  # one term: f becomes its coefficient
                     ((m, f),) = f.terms.items()
                     w, m = alg.monomial_mul(exps, m) if exps else (0, m)
                     c, exps = c.q_shift(w), list(m)
