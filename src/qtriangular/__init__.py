@@ -3,25 +3,25 @@ and its Hopf localization, over Q(i) with a formal parameter q."""
 
 from .coeff import GaussianRational, ScalarQ, qpow
 from .qalgebra import (
-    CenterLattice,
     Element,
     MorphismSpec,
     QAlgebra,
     SCALARS,
     TensorElement,
-    center_lattice,
     is_point,
     quantum_affine,
     random_element,
     tensor_square,
 )
 from .triangular import (
+    CenterLattice,
     TriangularAlgebra,
     antipode,
     antipode_spec,
     b_element,
     b_recurrence,
     build,
+    center_lattice,
     coproduct,
     counit,
     counit_spec,

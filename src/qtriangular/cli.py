@@ -54,19 +54,19 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .coeff import I, ONE, ZERO, ScalarQ
-from .qalgebra import Element, TensorElement, center_lattice
+from .coeff import I, ONE, ZERO, ScalarQ, _reduced
+from .qalgebra import Element, TensorElement
 from .triangular import (
     TriangularAlgebra,
     antipode,
     b_element,
     build,
+    center_lattice,
     coproduct,
     counit,
     qdet,
@@ -88,9 +88,11 @@ MAX_N = 50
 #: because the same gate covers ``check``, whose star suite takes 1.1 s at
 #: n = 10, 2.4 s at n = 11 and 6.3 s at n = 12, the widest the cap allows
 MAX_CHAIN = 10
-#: largest --n for ``center``, whose Hermite normal form costs O(N^3) with
-#: N = n(n+1)/2; as a subprocess (2-core Xeon, Python 3.11) --n 24 center
-#: answered in 0.73-0.92 s plain, localized or --json, and --n 25 in up to 1.09 s
+#: largest --n for ``center``, which reads the lattice off a closed form
+#: (``center_lattice``); as a subprocess (2-core Xeon, Python 3.11) --n 24
+#: center answered in 0.10-0.15 s plain or --localized --json, of which the
+#: lattice takes under 1 ms and start-up, import and building the algebra the
+#: rest.  It stays 24, so every --n that exited 2 still does
 MAX_CENTER = 24
 #: largest ``derivations classify --bound``, whose sweep has 3 (bound + 1)^3
 #: rows; as a subprocess (2-core Xeon, Python 3.11) --bound 14 answered in
@@ -285,7 +287,7 @@ class _Parser:
                 den = int(self.take("int"))
                 if den == 0:
                     raise self.fail("zero denominator", self.i - 1)
-                return ScalarQ.constant(Fraction(int(value), den))
+                return ScalarQ.constant(_reduced(int(value), 0, den))
             return ScalarQ.constant(int(value))
         if value in _NAMED:
             if value in _LOCALIZED and not self.alg.localized:

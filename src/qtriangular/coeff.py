@@ -239,6 +239,17 @@ def _join_signed(parts) -> str:
     return " ".join(out)
 
 
+def _distinct(pairs, what: str) -> dict:
+    """The dict of (key, value) pairs read from JSON; a repeated key raises
+    ValueError, as ``to_json`` writes each key once."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated {what} {key!r}")
+        out[key] = value
+    return out
+
+
 def _add_into(out: dict, terms: dict) -> None:
     """Add the sparse sum ``terms`` into ``out`` in place, dropping zero sums."""
     for k, c in terms.items():
@@ -445,10 +456,8 @@ class ScalarQ(_SparseSum):
 
     @staticmethod
     def from_json(data) -> "ScalarQ":
-        terms = {}
-        for k, rn, rd, imn, imd in data:
-            terms[k] = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
-        return ScalarQ(terms)
+        pairs = ((k, GaussianRational(Fraction(rn, rd), Fraction(imn, imd))) for k, rn, rd, imn, imd in data)
+        return ScalarQ(_distinct(pairs, "exponent"))
 
     def _term_strings(self):
         return (_term_text(c, k) for k, c in sorted(self.terms.items()))

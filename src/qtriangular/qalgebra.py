@@ -12,17 +12,21 @@ comparison.  An element is a sparse sum like a scalar, so its sums, powers
 and printing are ``coeff._SparseSum``'s; the product stays its own, because
 it q-shifts by ``monomial_mul``.  Presentations and values are immutable; all
 operations are pure functions, safe for concurrent use.
+
+No center is computed here for a general presentation: the central monomials
+of T_q(n) and UT_q(n) come in closed form from ``triangular.center_lattice``.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from fractions import Fraction
 from itertools import compress
 from operator import add, attrgetter, index, mul, neg
 
-from .coeff import ONE, ZERO, GaussianRational, ScalarQ, _add_into, _power, _SparseSum, _term_text, _times, qpow
+from .coeff import (
+    ONE, ZERO, GaussianRational, ScalarQ, _add_into, _distinct, _power, _reduced, _SparseSum, _term_text, _times, qpow,
+)
 
 
 def _sgn(x: int) -> int:
@@ -292,7 +296,8 @@ class Element(_SparseSum):
 
     @staticmethod
     def from_json(algebra: QAlgebra, data) -> "Element":
-        return Element(algebra, {tuple(mono): ScalarQ.from_json(cjson) for mono, cjson in data})
+        pairs = ((tuple(mono), ScalarQ.from_json(cjson)) for mono, cjson in data)
+        return Element(algebra, _distinct(pairs, "monomial"))
 
     def _term_strings(self):
         text = self.algebra.mono_text
@@ -420,7 +425,8 @@ class TensorElement(Element):
     def from_json(square: TensorSquare, rows) -> "TensorElement":
         """The tensor of ``[u, v, c]`` rows as ``to_json`` writes them; u
         must be admissible in the left factor and v in the right."""
-        return TensorElement(square, {(tuple(u), tuple(v)): ScalarQ.from_json(c) for u, v, c in rows})
+        pairs = (((tuple(u), tuple(v)), ScalarQ.from_json(c)) for u, v, c in rows)
+        return TensorElement(square, _distinct(pairs, "pair"))
 
     def _term_strings(self):
         sq = self.algebra
@@ -639,119 +645,13 @@ class _Record:
     __delattr__ = __setattr__
 
 
-class CenterLattice(_Record):
-    """Result of the monomial-center computation.
-
-    ``kernel_basis`` is a Hermite-normal-form basis of {nu : M nu = 0};
-    ``generators`` are the basis vectors admissible as monomials (sign chosen
-    inside the cone), so an empty tuple means the center is K on monomials;
-    ``violations`` are basis vectors with no admissible sign.
-    """
-
-    __slots__ = ("kernel_basis", "generators", "violations")
-
-    def __init__(self, kernel_basis: tuple, generators: tuple, violations: tuple):
-        self._set(kernel_basis, generators, violations)
-
-    @property
-    def is_scalar_center(self) -> bool:
-        return not self.generators
-
-
-def _integer_echelon(rows, ncols=None):
-    """In-place integer row echelon via gcd elimination, pivoting on the
-    first ``ncols`` columns only; returns the pivot count."""
-    nrows = len(rows)
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        # gcd-eliminate column c below row r
-        while True:
-            pivots = [i for i in range(r, nrows) if rows[i][c]]
-            if not pivots:
-                break
-            i0 = min(pivots, key=lambda i: abs(rows[i][c]))
-            rows[r], rows[i0] = rows[i0], rows[r]
-            done = True
-            for i in range(r + 1, nrows):
-                if rows[i][c]:
-                    qq = rows[i][c] // rows[r][c]
-                    if qq:
-                        rows[i] = [x - qq * y for x, y in zip(rows[i], rows[r])]
-                    if rows[i][c]:
-                        done = False
-            if done:
-                break
-        if any(rows[i][c] for i in range(r, nrows)):
-            if rows[r][c] < 0:
-                rows[r] = [-x for x in rows[r]]
-            r += 1
-    return r
-
-
-def _hnf(rows):
-    """Hermite normal form (row style, positive pivots, reduced above)."""
-    rows = [list(r) for r in rows]
-    rank = _integer_echelon(rows)
-    rows = rows[:rank]
-    # reduce entries above each pivot
-    for i in range(rank):
-        c = next(j for j, x in enumerate(rows[i]) if x)
-        p = rows[i][c]
-        for k in range(i):
-            qq = rows[k][c] // p
-            if qq:
-                rows[k] = [x - qq * y for x, y in zip(rows[k], rows[i])]
-    return [tuple(r) for r in rows]
-
-
-def integer_kernel(M) -> list:
-    """HNF basis of the integer null space {nu : M nu = 0}."""
-    n = len(M)
-    if n == 0:
-        return []
-    # row-reduce [M^T | I] on the left block; rows whose left part vanishes
-    # carry a kernel basis in the right block
-    work = [
-        [M[b][a] for b in range(n)] + [1 if b == a else 0 for b in range(n)]
-        for a in range(n)
-    ]
-    rank = _integer_echelon(work, ncols=n)
-    return _hnf([row[n:] for row in work[rank:]])
-
-
-def center_lattice(algebra: QAlgebra) -> CenterLattice:
-    """Basis of the lattice of central monomial directions.
-
-    A monomial x^nu is central iff M nu = 0; the admissibility cone keeps
-    exponents of non-invertible generators nonnegative.  Basis vectors that
-    fit the cone in neither sign are reported as violations rather than
-    generators.
-    """
-    basis = integer_kernel(algebra.M)
-    admissible = algebra.is_admissible
-    gens = []
-    bad = []
-    for v in basis:
-        if admissible(v):
-            gens.append(tuple(v))
-        elif admissible([-e for e in v]):
-            gens.append(tuple(-e for e in v))
-        else:
-            bad.append(tuple(v))
-    return CenterLattice(tuple(tuple(v) for v in basis), tuple(gens), tuple(bad))
-
-
 #: coefficient pool for seeded random elements
 _COEFF_POOL = (
     GaussianRational(1),
     GaussianRational(-1),
     GaussianRational(2),
-    GaussianRational(Fraction(1, 2)),
-    GaussianRational(Fraction(-2, 3)),
+    _reduced(1, 0, 2),
+    _reduced(-2, 0, 3),
     GaussianRational(0, 1),
     GaussianRational(1, 1),
     GaussianRational(1, -1),

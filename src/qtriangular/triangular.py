@@ -14,7 +14,7 @@ from itertools import accumulate, compress
 from operator import index, neg
 
 from .coeff import ZERO, ScalarQ, qpow
-from .qalgebra import SCALARS, Element, MorphismSpec, QAlgebra, TensorElement, _sgn, tensor_square
+from .qalgebra import SCALARS, Element, MorphismSpec, QAlgebra, TensorElement, _Record, _sgn, tensor_square
 
 
 @lru_cache
@@ -359,3 +359,84 @@ def star(e: Element) -> Element:
     """The Hopf *-involution γ∘S (apply S first), in one pass through
     ``star_spec``, whose images are S's reindexed by ρ (see there)."""
     return star_spec(_triangular(e, "star")).apply(e)
+
+
+# -- center -------------------------------------------------------------------
+
+
+class CenterLattice(_Record):
+    """The central monomial directions of T_q(n) or UT_q(n), as
+    ``center_lattice`` gives them.
+
+    ``kernel_basis`` is the Hermite-normal-form basis of {nu : M nu = 0};
+    ``generators`` are its vectors that are admissible monomials, which
+    span the center's exponents; ``violations`` are the rest, admissible in
+    neither sign.
+    """
+
+    __slots__ = ("kernel_basis", "generators", "violations")
+
+    def __init__(self, kernel_basis: tuple, generators: tuple, violations: tuple):
+        self._set(kernel_basis, generators, violations)
+
+    @property
+    def is_scalar_center(self) -> bool:
+        return not self.generators
+
+
+def center_lattice(alg: TriangularAlgebra) -> CenterLattice:
+    """The lattice {nu : M nu = 0} of central monomial directions, in closed
+    form for every n: Z(T_q(n)) = K and Z(UT_q(n)) = K[w, w^-1], with
+    w = prod_i a[i,i]^((-1)^(i+1)).
+
+    ``kernel_basis`` is w, then v_ij = e[i,j] - e[i,n] - e[j,j] + e[j,n]
+    for 1 <= i < j < n in loop order; ``generators`` is (w,) localized and
+    () plain; ``violations`` is the rest.
+
+    x^nu q-commutes with every generator (``TriangularAlgebra.degree``),
+    so it is central iff M nu = 0, and as q is formal the center is spanned
+    by the central monomials (McConnell and Pettit, 1988).  Let (R, C) be
+    nu's row and column marginals, s = (1, -1, 1, ...), and
+    f(k,l) = sum_i R_i sgn(i - k) + sum_j C_j sgn(l - j), the negative of
+    (M nu) at a[k,l].
+
+    1. M nu = 0 iff R = C = r s for an integer r.  If f = 0, then
+       f(1,l) - f(1,l+1) = -(C_l + C_(l+1)), f(k,n) - f(k+1,n) =
+       R_k + R_(k+1) and f(1,1) = C_1 - R_1 (sum R = sum C) say that C and
+       R alternate from R_1 = C_1.  Conversely, for k < l, f(k,l) =
+       r (s_k + 2 sum_(k<i<l) s_i + s_l) = r sum_(k<=i<l) (s_i + s_(i+1))
+       = 0, and f(k,k) = 0.
+    2. w has marginals (s, s), so nu - R_1 w has zero marginals: ker M is
+       Zw + ker P, with P nu = (R, C), and the sum is direct.
+    3. The v_ij are a lattice basis of ker P.  Each has zero marginals.
+       Subtracting sum nu[i,j] v_ij from nu in ker P leaves a zero-marginal
+       array on the diagonal and column n; its column j < n holds only the
+       diagonal entry, so that is 0, and then its rows are 0.  Each v_ij
+       has a unit pivot, its first nonzero entry 1 at a[i,j], where no
+       other listed vector (w included) is nonzero, so the list is
+       independent, and with the pivots ascending it is the lattice's
+       unique Hermite normal form.
+    4. The cone.  Let nu in ker M be admissible, so its off-diagonal
+       exponents are >= 0.  Column 1 holds only a[1,1], so nu[1,1] = r;
+       row 1's off-diagonal exponents then sum to R_1 - r = 0, so they
+       vanish.  Column 2 then gives nu[2,2] = -r, and so on down the rows:
+       nu = r w.  UT_q(n) inverts the diagonal, so w generates; T_q(n)
+       needs r >= 0 and -r >= 0, so r = 0.  Each v_ij has 1 at a[i,j] and
+       -1 at a[i,n], both off the diagonal, so it is admissible in neither
+       sign, and neither is w in T_q(n).
+    """
+    if not isinstance(alg, TriangularAlgebra):
+        raise ValueError("center_lattice is defined on triangular algebras")
+    n = alg.n
+
+    def vector(*entries):
+        v = [0] * alg.ngens
+        for c, i, j in entries:
+            v[alg.gen_index(i, j)] = c
+        return tuple(v)
+
+    w = vector(*(((-1) ** (i + 1), i, i) for i in range(1, n + 1)))
+    vs = [vector((1, i, j), (-1, i, n), (-1, j, j), (1, j, n)) for i in range(1, n) for j in range(i + 1, n)]
+    basis = (w, *vs)
+    generators = (w,) if alg.localized else ()
+    return CenterLattice(basis, generators, basis[len(generators):])

@@ -1,5 +1,6 @@
 """Shared samplers for the randomized tests, a counter of ``Element``
-products and sums, and the left-to-right reference for ``MorphismSpec.apply``."""
+products and sums, the left-to-right reference for ``MorphismSpec.apply``,
+and a rank over Q for integer matrices."""
 
 import random
 from fractions import Fraction
@@ -85,3 +86,22 @@ def left_to_right_apply(spec, e):
                 acc = acc * p
             _add_into(out.terms, (acc[1] if isinstance(acc, tuple) else acc).terms)
     return out
+
+
+def rank_q(rows) -> int:
+    """The rank over Q of an integer matrix, by Gaussian elimination on
+    Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] / top[col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+        rank += 1
+    return rank

@@ -29,7 +29,7 @@ from qtriangular.deriv import (
     monomial_derivation,
     utq2_derivation_table,
 )
-from qtriangular.qalgebra import center_lattice, random_element
+from qtriangular.qalgebra import random_element
 from qtriangular.structure import (
     check_antipode,
     check_bialgebra,
@@ -44,6 +44,7 @@ from qtriangular.triangular import (
     b_element,
     b_recurrence,
     build,
+    center_lattice,
     coproduct,
     counit,
     star,

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import parse_oracle
 from helpers import count_element_ops, random_sextuple, random_unit
 
 from qtriangular.cli import ParseError, format_element, main, parse, parse_scalar, parse_sextuple
-from qtriangular.coeff import ONE, GaussianRational, ScalarQ, qpow
+from qtriangular.coeff import ONE, ZERO, GaussianRational, ScalarQ, qpow
 from qtriangular.qalgebra import Element, TensorElement, random_element
 from qtriangular.triangular import (
     antipode, b_element, build, coproduct, delta_spec, gamma_spec, rho_spec, sigma_spec,
@@ -45,6 +46,16 @@ def test_parse_scalars_and_powers():
     assert parse("a[1,1]^-2", U2) == U2.a(1, 1) ** -2
     assert parse("z", U2) == U2.a(1, 1) * U2.a(2, 2) ** -1
     assert parse("(a[1,1] + a[2,2])^2", T2) == (T2.a(1, 1) + T2.a(2, 2)) ** 2
+
+
+def test_rational_literals_are_reduced_from_their_ints():
+    # 0/7 reduces to a falsy coefficient, which ScalarQ.constant drops: the
+    # literal is the canonical zero, with no term at exponent 0
+    assert parse_scalar("0/7") == ZERO and parse_scalar("0/7").terms == {}
+    assert parse("0/7*a[1,1]", T2) == T2.zero()
+    for text, value in (("6/4", Fraction(3, 2)), ("10/15", Fraction(2, 3)), ("3/1", Fraction(3))):
+        assert parse_scalar(text) == ScalarQ.constant(value)
+        assert parse_scalar(text).terms[0] == value
 
 
 def test_format_examples():

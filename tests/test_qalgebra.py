@@ -8,20 +8,19 @@ from pathlib import Path
 import pytest
 
 import qtriangular
-from qtriangular.coeff import GaussianRational, ONE, qpow
+from qtriangular.coeff import GaussianRational, ONE, ScalarQ, qpow
 from qtriangular.qalgebra import (
     SCALARS,
     Element,
     MorphismSpec,
     QAlgebra,
     TensorElement,
-    center_lattice,
     is_point,
     quantum_affine,
     random_element,
     tensor_square,
 )
-from qtriangular.triangular import antipode_spec, build, counit_spec, sigma_spec
+from qtriangular.triangular import antipode_spec, build, center_lattice, counit_spec, sigma_spec
 
 from helpers import random_sextuple
 
@@ -198,19 +197,6 @@ def test_public_constructors_drop_zero_coefficients():
 def test_center_lattice_examples():
     assert center_lattice(build(2)).generators == ()
     assert center_lattice(build(2, True)).generators == ((1, 0, -1),)
-    comm = QAlgebra("xyz", [False] * 3, [[0] * 3] * 3)
-    assert center_lattice(comm).generators == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def test_center_lattice_flags_cone_violations():
-    # two non-invertible generators with identical commutation columns:
-    # the kernel direction (1, -1, 0) fits the cone in neither sign
-    alg = QAlgebra("xyz", [False] * 3, [[0, 0, 1], [0, 0, 1], [-1, -1, 0]])
-    lat = center_lattice(alg)
-    assert lat.kernel_basis == ((1, -1, 0),)
-    assert lat.generators == ()
-    assert lat.violations == ((1, -1, 0),)
-    assert lat.is_scalar_center
 
 
 def test_monomial_centrality_matches_kernel():
@@ -403,6 +389,19 @@ def test_json_roundtrips():
         Element.from_json(build(2), neg.to_json())  # negative exponents inadmissible
     with pytest.raises(TypeError):
         Element.from_json(alg, [[[1.9, 0, 0], ONE.to_json()]])  # not truncated to 1
+
+
+def test_from_json_rejects_a_repeated_key():
+    T2 = build(2)
+    c1, c2 = ONE.to_json(), qpow(1).to_json()
+    with pytest.raises(ValueError, match="repeated monomial"):
+        Element.from_json(T2, [[[1, 0, 0], c1], [[1, 0, 0], c2]])
+    with pytest.raises(ValueError, match="repeated pair"):
+        TensorElement.from_json(tensor_square(T2, T2), [[[1, 0, 0], [0, 0, 1], c1], [[1, 0, 0], [0, 0, 1], c2]])
+    with pytest.raises(ValueError, match="repeated exponent"):
+        ScalarQ.from_json([[1, 1, 1, 0, 1], [1, 2, 1, 0, 1]])
+    # the same keys once each still read
+    assert Element.from_json(T2, [[[1, 0, 0], c1], [[0, 0, 1], c2]]) == T2.a(1, 1) + T2.a(2, 2).scale(qpow(1))
 
 
 def test_transport():

@@ -13,9 +13,8 @@ from pathlib import Path
 import pytest
 
 import qtriangular
-from qtriangular import CheckReport, LinearAuto2, Sextuple, build
+from qtriangular import CheckReport, LinearAuto2, Sextuple, build, center_lattice
 from qtriangular.coeff import qpow
-from qtriangular.qalgebra import center_lattice
 
 
 def _records():

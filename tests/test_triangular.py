@@ -1,15 +1,16 @@
 import json
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
-from helpers import count_element_ops
+from helpers import count_element_ops, rank_q
 
 from qtriangular.coeff import GaussianRational, I, ONE, ScalarQ, qpow
 from qtriangular.qalgebra import (
     SCALARS,
     MorphismSpec,
+    QAlgebra,
     TensorElement,
     is_point,
     quantum_affine,
@@ -23,6 +24,7 @@ from qtriangular.triangular import (
     b_element,
     b_recurrence,
     build,
+    center_lattice,
     coproduct,
     counit,
     counit_spec,
@@ -543,3 +545,101 @@ def test_coaction_covectors_satisfy_affine_relations():
             for i in range(n):
                 for j in range(i + 1, n):
                     assert xs[j] * xs[i] == (xs[i] * xs[j]).scale(qpow(1))
+
+
+# -- the center in closed form ------------------------------------------------
+
+
+def _lattice_failure(alg, basis):
+    """The first claim about ``basis`` that fails, as (claim, vector index),
+    or None.  The claims: M v = 0 for each v; v's first nonzero entry is 1,
+    at a column after the previous vector's pivot, where no other vector is
+    nonzero; and there are N - rank_Q(M) vectors.  Unit pivots read an
+    integer combination's coefficients off the pivot columns, so a list
+    that passes is a basis of the lattice ker M, in Hermite normal form."""
+    last = -1
+    for k, v in enumerate(basis):
+        if any(sum(m * x for m, x in zip(row, v)) for row in alg.M):
+            return "M v = 0", k
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is None or v[p] != 1 or p <= last or any(u[p] for u in basis[:k] + basis[k + 1:]):
+            return "unit pivot", k
+        last = p
+    if len(basis) != alg.ngens - rank_q(alg.M):
+        return "count", len(basis)
+    return None
+
+
+@pytest.mark.parametrize("localized", [False, True])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_center_lattice_is_a_lattice_basis_of_the_kernel(n, localized):
+    alg = build(n, localized)
+    lat = center_lattice(alg)
+    assert _lattice_failure(alg, lat.kernel_basis) is None
+    w = lat.kernel_basis[0]
+    assert lat.generators == ((w,) if localized else ())
+    assert lat.violations == lat.kernel_basis[len(lat.generators):]
+    assert lat.is_scalar_center is not localized
+    for v in lat.generators:
+        assert alg.is_admissible(v)
+    for v in lat.violations:
+        assert not alg.is_admissible(v) and not alg.is_admissible(tuple(-x for x in v))
+
+
+def _w_mutant(alg):
+    """w with signs starting at -1.  -w is w^-1's exponent, so it passes
+    M v = 0 and fails at w's pivot, which is -1."""
+    basis = center_lattice(alg).kernel_basis
+    return (tuple(-x for x in basis[0]), *basis[1:])
+
+
+def _corner_mutant(alg):
+    """v_ij with e[i,j+1] in place of e[i,n]; at j = n - 1 it is v_ij."""
+    n, at = alg.n, alg.gen_index
+    basis = [center_lattice(alg).kernel_basis[0]]
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            v = [0] * alg.ngens
+            for c, pair in zip((1, -1, -1, 1), ((i, j), (i, j + 1), (j, j), (j, n))):
+                v[at(*pair)] = c
+            basis.append(tuple(v))
+    return tuple(basis)
+
+
+@pytest.mark.parametrize("localized", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_center_closed_form_mutants_fail_at_pinned_lines(n, localized):
+    alg = build(n, localized)
+    # vector 0 is w: -w is central too, so it passes M v = 0 and fails at
+    # its pivot
+    assert _lattice_failure(alg, _w_mutant(alg)) == ("unit pivot", 0)
+    # vector 1 is v_12, whose corner e[1,3] has nonzero marginals once
+    # 3 < n; at n = 3 the mutant is the closed form itself
+    assert _lattice_failure(alg, _corner_mutant(alg)) == (None if n == 3 else ("M v = 0", 1))
+
+
+def test_center_brute_force_at_n3():
+    # every admissible nu in [-2, 2]^6 with M nu = 0: the powers of w in
+    # UT_q(3), only 0 in T_q(3)
+    for localized in (False, True):
+        alg = build(3, localized)
+        central = {
+            nu for nu in product(range(-2, 3), repeat=alg.ngens)
+            if alg.is_admissible(nu) and not any(sum(m * x for m, x in zip(row, nu)) for row in alg.M)
+        }
+        w = center_lattice(alg).kernel_basis[0]
+        assert w == (1, 0, 0, -1, 0, 1)
+        assert central == ({tuple(r * x for x in w) for r in range(-2, 3)} if localized else {(0,) * 6})
+
+
+def test_center_lattice_is_defined_on_triangular_algebras_only():
+    # M = u v^T - v u^T with u = (1, -1, 1, 0), v = (-1, 1, 0, 1): x1 x2 is
+    # central, and a kernel read without the triangular proof reported a
+    # scalar center here
+    M = [[0, 0, 1, 1], [0, 0, -1, -1], [-1, 1, 0, 1], [-1, 1, -1, 0]]
+    alg = QAlgebra(["x1", "x2", "x3", "x4"], [False] * 4, M)
+    x1x2 = alg.gen(0) * alg.gen(1)
+    assert all(x1x2 * alg.gen(g) == alg.gen(g) * x1x2 for g in range(4))
+    for foreign in (alg, quantum_affine(3), SCALARS):
+        with pytest.raises(ValueError, match="center_lattice is defined on triangular algebras"):
+            center_lattice(foreign)
